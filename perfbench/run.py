@@ -11,11 +11,15 @@ checks every operation against ``reference.json``.
 With ``--trace 0`` the final line reports the end-to-end metrics, medians over
 units: ``wall_s`` and ``cpu_s`` (time of the unit's operations, excluding
 set-up), ``setup_s`` (spawn until schurmix is imported and the child is ready)
-and ``peak_rss_mb`` (largest child maximum resident set).  With ``--trace 1``
+and ``peak_rss_mb`` (largest child maximum resident set).  The three times are
+in reference-host seconds: each child samples its CPU's speed while it works
+(``calibrate.py``) and the measured seconds are scaled by the mean speed, so
+that the drift of a shared host's CPU speed cancels out.  The measured
+seconds are printed above the final line.  With ``--trace 1``
 each unit runs once untraced and once traced; the final line reports the
 per-layer metrics of the traced units (their lower median) and
-``trace.overhead``, traced over untraced wall time of the same pass.  Spans of the last traced unit are written to
-``.perfbench/``.  Lines above the final JSON give quartiles, the operation
+``trace.overhead``, traced over untraced rescaled wall time of the same pass.
+Spans of the last traced unit are written to ``.perfbench/``.  Lines above the final JSON give quartiles, the operation
 tail latency, the failure ratio and the environment.
 """
 
@@ -41,12 +45,15 @@ SRC = ROOT / "src"
 SPANS_DIR = ROOT / ".perfbench"
 REFERENCE = BENCH_DIR / "reference.json"
 
-SETUP_PROBES = 9
+SETUP_PROBES = 20
 # A run must end well inside three minutes whatever the program does.
 HARD_LIMIT_S = 150.0
 # op_tail_s needs at least this many operations per unit.
 TAIL_MIN_OPS = 20
 TAIL_BEYOND = 10
+
+# Speed of a child that sent no reply; its operations fail the run anyway.
+NO_SPEED = {"wall": 1.0, "cpu": 1.0, "samples": 0, "setup_wall": 1.0}
 
 END_TO_END_UNITS = {"wall_s": "s", "cpu_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
@@ -63,7 +70,7 @@ def spawn(ops, deadline, trace=False, spans_path=None, header=""):
 
     A child that crashes or passes the deadline yields ``error`` and no records.
     """
-    result = {"setup_s": None, "records": [], "peak_rss_mb": 0.0, "layers": None, "error": None}
+    result = {"setup_s": None, "records": [], "peak_rss_mb": 0.0, "layers": None, "speed": None, "error": None}
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, str(BENCH_DIR / "child.py")],
@@ -88,7 +95,9 @@ def spawn(ops, deadline, trace=False, spans_path=None, header=""):
             result["error"] = f"child exited with {proc.returncode}: {' '.join(tail)}"
             return result
         reply = json.loads(out.decode().strip().splitlines()[-1])
-        result.update(records=reply["ops"], peak_rss_mb=reply["peak_rss_mb"], layers=reply["layers"])
+        result.update(
+            records=reply["ops"], peak_rss_mb=reply["peak_rss_mb"], layers=reply["layers"], speed=reply["speed"]
+        )
         return result
     except subprocess.TimeoutExpired:
         result["error"] = "child timed out"
@@ -116,20 +125,27 @@ def merge_layers(parts):
 
 def run_unit(children, deadline, trace=False, spans_tag=None, header=""):
     """One pass over the workload's children, one fresh interpreter each."""
-    unit = {"wall_s": 0.0, "cpu_s": 0.0, "peak_rss_mb": 0.0, "setups": [], "ops": [], "layers": []}
+    unit = {
+        "wall_s": 0.0, "cpu_s": 0.0, "raw_wall_s": 0.0, "raw_cpu_s": 0.0, "samples": 0,
+        "peak_rss_mb": 0.0, "setups": [], "ops": [], "layers": [],
+    }
     for j, ops in enumerate(children):
         spans_path = None
         if trace and spans_tag:
             spans_path = str(SPANS_DIR / f"{spans_tag}-child{j}.tsv")
         child = spawn(ops, deadline, trace, spans_path, header)
-        unit["setups"].append(child["setup_s"])
+        speed = child["speed"] or NO_SPEED
+        unit["setups"].append((child["setup_s"], speed["setup_wall"]))
         unit["peak_rss_mb"] = max(unit["peak_rss_mb"], child["peak_rss_mb"])
+        unit["samples"] += speed["samples"]
         records = child["records"]
         for k, op in enumerate(ops):
             record = records[k] if k < len(records) else [0.0, 0.0, None, None, child["error"] or "not run"]
             unit["ops"].append((op, record))
-            unit["wall_s"] += record[0]
-            unit["cpu_s"] += record[1]
+            unit["raw_wall_s"] += record[0]
+            unit["raw_cpu_s"] += record[1]
+            unit["wall_s"] += record[0] * speed["wall"]
+            unit["cpu_s"] += record[1] * speed["cpu"]
         if child["layers"] is not None:
             unit["layers"].append(child["layers"])
     return unit
@@ -154,7 +170,10 @@ def measure(children, seconds, trace, reference, spans_tag=None, header=""):
     """Repeat the unit for the time budget; return units, probes and failures."""
     begin = time.perf_counter()
     deadline = begin + HARD_LIMIT_S
-    probes = [spawn([], deadline)["setup_s"] for _ in range(SETUP_PROBES)]
+    probes = []
+    for _ in range(SETUP_PROBES):
+        probe = spawn([], deadline)
+        probes.append((probe["setup_s"], (probe["speed"] or NO_SPEED)["setup_wall"]))
     plain, traced = [], []
     start = time.perf_counter()
     while True:
@@ -234,21 +253,30 @@ def report(name, children, seconds, trace, result, env):
     attempted = result["attempted"]
     metrics = {}
     if not trace:
+        setups = [s for s in result["probes"] + [s for u in plain for s in u["setups"]] if s[0] is not None]
         samples = {
-            "wall_s": [u["wall_s"] for u in plain],
-            "cpu_s": [u["cpu_s"] for u in plain],
-            "setup_s": result["probes"] + [s for u in plain for s in u["setups"]],
-            "peak_rss_mb": [u["peak_rss_mb"] for u in plain],
+            "wall_s": ([u["wall_s"] for u in plain], [u["raw_wall_s"] for u in plain]),
+            "cpu_s": ([u["cpu_s"] for u in plain], [u["raw_cpu_s"] for u in plain]),
+            "setup_s": ([s * speed for s, speed in setups], [s for s, _ in setups]),
+            "peak_rss_mb": ([u["peak_rss_mb"] for u in plain], None),
         }
-        for metric, values in samples.items():
+        for metric, (values, measured) in samples.items():
             unit = END_TO_END_UNITS[metric]
             median = statistics.median(values)
             q1, q3 = quartiles(values)
-            print(f"{metric}: {median:.6g} {unit} median (q1 {q1:.6g}, q3 {q3:.6g}, {len(values)} samples)")
+            line = f"{metric}: {median:.6g} {unit} median (q1 {q1:.6g}, q3 {q3:.6g}, {len(values)} samples)"
+            if measured:
+                line += f"; measured {statistics.median(measured):.6g} {unit} median"
+            print(line)
             metrics[metric] = {"value": median, "unit": unit}
+        speeds = [u["wall_s"] / u["raw_wall_s"] for u in plain if u["raw_wall_s"] > 0]
+        print(
+            f"host speed: {statistics.median(speeds or [0.0]):.4g} of the reference host, median over units "
+            f"({sum(u['samples'] for u in plain)} samples)"
+        )
         if ops_per_unit >= TAIL_MIN_OPS:
             value, pct, count = op_tail(plain)
-            print(f"op_tail_s: {value:.6g} s at p{pct:.1f} ({TAIL_BEYOND} of {count} operations beyond it)")
+            print(f"op_tail_s: {value:.6g} s measured at p{pct:.1f} ({TAIL_BEYOND} of {count} operations beyond it)")
         else:
             print(f"op_tail_s: not reported, {ops_per_unit} operations per unit (needs {TAIL_MIN_OPS})")
     else:

@@ -11,12 +11,14 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import calibrate  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -36,12 +38,15 @@ def tiny(name):
     return [[op for op in workloads.build(name, 0)[0] if op[3] <= 2]]
 
 
-def measure_and_report(children, trace, reference):
-    result = run.measure(children, 0, trace, reference)
+def report_of(children, trace, result):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         final = run.report("tiny", children, 0, trace, result, "test")
     return final, out.getvalue()
+
+
+def measure_and_report(children, trace, reference):
+    return report_of(children, trace, run.measure(children, 0, trace, reference))
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +88,48 @@ def test_tracer_counts_a_streaming_add_set():
     assert t.summary()["partitions.add_set.results"] == 3
 
 
+def test_sampler_samples_while_active_and_leaves_its_time_out():
+    sampler = calibrate.Sampler()
+    sampler.start()
+    try:
+        sampler.active = True
+        wall0, _ = sampler.clock()
+        end = time.perf_counter() + 0.5
+        while time.perf_counter() < end:
+            pass
+        wall = sampler.clock()[0] - wall0
+        sampler.active = False
+        taken = len(sampler.samples)
+        end = time.perf_counter() + 0.3
+        while time.perf_counter() < end:
+            pass
+    finally:
+        sampler.stop()
+    assert taken >= 2 and len(sampler.samples) == taken
+    assert sampler.spent_wall > 0
+    assert abs(wall + sampler.spent_wall - 0.5) < 0.05
+    wall_speed, cpu_speed = calibrate.speeds(sampler.samples)
+    assert wall_speed > 0 and cpu_speed > 0
+
+
+def test_times_are_rescaled_by_the_child_speed(monkeypatch, reference):
+    op = ["verify", "one", 1, 1]
+    expected = reference[workloads.op_key(op)]
+
+    def fake(ops, deadline, *args):
+        records = [[2.0, 1.5, expected["equal"], expected["digest"], None]]
+        speed = {"wall": 0.5, "cpu": 2.0, "samples": 7, "setup_wall": 3.0}
+        return {"setup_s": 0.1, "records": records, "peak_rss_mb": 1.0, "layers": None, "speed": speed, "error": None}
+
+    monkeypatch.setattr(run, "spawn", fake)
+    result = run.measure([[op]], 0, False, reference)
+    unit = result["plain"][0]
+    assert (unit["raw_wall_s"], unit["raw_cpu_s"]) == (2.0, 1.5)
+    assert (unit["wall_s"], unit["cpu_s"], unit["samples"]) == (1.0, 3.0, 7)
+    final, _ = report_of([[op]], False, result)
+    assert final["metrics"]["setup_s"]["value"] == pytest.approx(0.3)
+
+
 def test_per_layer_names_match_the_tracer():
     assert [m["name"] for m in BENCHMARK["per_layer"]] == list(tracer.metric_units())
 
@@ -101,7 +148,7 @@ def test_wrong_reference_digest_fails_the_run(reference):
 
 def test_operations_a_child_never_ran_count_as_failed(monkeypatch, reference):
     def crashed(ops, deadline, *args):
-        return {"setup_s": 0.1, "records": [], "peak_rss_mb": 0.0, "layers": None, "error": "child timed out"}
+        return {"setup_s": 0.1, "records": [], "peak_rss_mb": 0.0, "layers": None, "speed": None, "error": "child timed out"}
 
     monkeypatch.setattr(run, "spawn", crashed)
     children = tiny("sweep")
