@@ -54,6 +54,15 @@ def _resolve_case(case, core, m, need_case=False):
     return case, m
 
 
+def _term_record(t):
+    return {
+        "mu": t.mu.to_text(),
+        "sign": t.sign,
+        "q0": t.q_index.to_text(),
+        "q1": t.s_index.to_text(),
+    }
+
+
 def _print_poly(poly, as_json):
     if as_json:
         print(json.dumps(poly.to_json_obj()))
@@ -127,14 +136,7 @@ def cmd_expand(ns):
                     "m": m,
                     "n": ns.n,
                     "terms": [
-                        {
-                            "mu": t.mu.to_text(),
-                            "sign": t.sign,
-                            "q0": t.q_index.to_text(),
-                            "q1": t.s_index.to_text(),
-                            "value": t.value.to_json_obj(),
-                        }
-                        for t in terms
+                        {**_term_record(t), "value": t.value.to_json_obj()} for t in terms
                     ],
                     "total": total.to_json_obj(),
                 }
@@ -161,15 +163,7 @@ def cmd_verify(ns):
                     "lhs": report.lhs.to_json_obj(),
                     "rhs": report.rhs.to_json_obj(),
                     "difference": report.difference.to_json_obj(),
-                    "terms": [
-                        {
-                            "mu": t.mu.to_text(),
-                            "sign": t.sign,
-                            "q0": t.q_index.to_text(),
-                            "q1": t.s_index.to_text(),
-                        }
-                        for t in report.terms
-                    ],
+                    "terms": [_term_record(t) for t in report.terms],
                 }
             )
         )
@@ -185,6 +179,8 @@ def cmd_verify(ns):
 
 
 def cmd_verify_all(ns):
+    if ns.max_m < 0:
+        raise ValueError(f"--max-m must be >= 0, got {ns.max_m}; the sweep would be empty")
     failures = 0
     checks = 0
     for case in ("one", "zero"):
@@ -309,3 +305,7 @@ def main(argv=None):
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from .partitions import StrictPartition, add_set, bar_core
+from .polyring import accumulate
 
 
 class Sqrt2Scalar:
@@ -41,6 +42,9 @@ class Sqrt2Scalar:
     @property
     def is_zero(self):
         return not self.a and not self.b
+
+    def __bool__(self):
+        return not self.is_zero
 
     @staticmethod
     def _coerce(value):
@@ -125,13 +129,8 @@ class FockVector:
         d = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
-            for lam, coeff in items:
-                coeff = Sqrt2Scalar._coerce(coeff)
-                new = d.get(lam, Sqrt2Scalar()) + coeff
-                if new.is_zero:
-                    d.pop(lam, None)
-                else:
-                    d[lam] = new
+            # Adding to zero coerces int and Fraction and raises TypeError otherwise.
+            accumulate(d, ((lam, Sqrt2Scalar() + coeff) for lam, coeff in items))
         self.entries = d
 
     @classmethod
@@ -161,15 +160,8 @@ class FockVector:
     def __add__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        d = dict(self.entries)
-        for lam, coeff in other.entries.items():
-            new = d.get(lam, Sqrt2Scalar()) + coeff
-            if new.is_zero:
-                d.pop(lam, None)
-            else:
-                d[lam] = new
         out = FockVector()
-        out.entries = d
+        out.entries = accumulate(dict(self.entries), other.entries.items())
         return out
 
     def scale(self, factor):
@@ -210,13 +202,13 @@ def f_chev(i, v):
     if i not in (0, 1):
         raise ValueError(f"color must be 0 or 1, got {i}")
     residues = (0, 3) if i == 0 else (1, 2)
-    out = FockVector.zero()
+    out = FockVector()
     for lam, coeff in v.entries.items():
         indices = [p for p in lam.parts if p % 4 in residues]
         if i == 0:
             indices.append(0)
         for k in indices:
-            out = out + f_inf(k, lam).scale(coeff * _SQRT2)
+            accumulate(out.entries, f_inf(k, lam).scale(coeff * _SQRT2).entries.items())
     return out
 
 
@@ -241,9 +233,9 @@ def lemma_co_sides(i, core_index, ell):
         left = f_chev(i, left)
     left = left.scale(Fraction(1, factorial(ell)))
     eps = core_index % 2
-    right = FockVector.zero()
-    for lam in add_set(core, i, ell):
-        right = right + FockVector({lam: Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)})
+    right = FockVector(
+        (lam, Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)) for lam in add_set(core, i, ell)
+    )
     return left, right
 
 

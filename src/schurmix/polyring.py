@@ -73,14 +73,23 @@ class Monomial:
         )
 
 
-def _acc(acc, poly, sign=1):
-    # In place accumulate sign * poly into a plain dict.
-    for mono, coeff in poly.terms.items():
-        new = acc.get(mono, 0) + (coeff if sign > 0 else -coeff)
+def accumulate(acc, items, sign=1):
+    """Add sign * coeff into acc[key] for each (key, coeff) of items, in place.
+
+    Keys whose coefficient becomes zero are dropped, so acc stays sparse.
+    Works for any coefficient type with negation, addition and truth value.
+    Returns acc.
+    """
+    for key, coeff in items:
+        if sign < 0:
+            coeff = -coeff
+        old = acc.get(key)
+        new = coeff if old is None else old + coeff
         if new:
-            acc[mono] = new
+            acc[key] = new
         else:
-            acc.pop(mono, None)
+            acc.pop(key, None)
+    return acc
 
 
 class Polynomial:
@@ -92,14 +101,13 @@ class Polynomial:
         d = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                if not isinstance(mono, Monomial):
-                    mono = Monomial(mono)
-                new = d.get(mono, 0) + Fraction(coeff)
-                if new:
-                    d[mono] = new
-                else:
-                    d.pop(mono, None)
+            accumulate(
+                d,
+                (
+                    (mono if isinstance(mono, Monomial) else Monomial(mono), Fraction(coeff))
+                    for mono, coeff in items
+                ),
+            )
         self.terms = d
 
     @classmethod
@@ -147,9 +155,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = dict(self.terms)
-        _acc(d, other)
-        return Polynomial._raw(d)
+        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -160,9 +166,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = dict(self.terms)
-        _acc(d, other, -1)
-        return Polynomial._raw(d)
+        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items(), -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -178,16 +182,13 @@ class Polynomial:
             return Polynomial._raw({m: co * c for m, co in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    del out[mono]
-        return Polynomial._raw(out)
+        right = other.terms.items()
+        return Polynomial._raw(
+            accumulate(
+                {},
+                ((m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right),
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -283,49 +284,65 @@ def shift2(p):
     )
 
 
-def determinant(mat):
-    """Exact determinant by minor expansion with memoization on column sets."""
-    n = len(mat)
-    rows = [[as_polynomial(e) for e in row] for row in mat]
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Polynomial.one()
-    memo = {}
+def _expand(n, pick):
+    """Memoised minor expansion over index subsets of range(n), held as bitmasks.
+
+    pick(mask) yields (sign, entry, rest) for each term of the expansion of
+    the minor on mask, where rest is the smaller mask that term recurses into.
+    The minor on the empty mask is 1.  Each mask is expanded once.
+    """
+    memo = {0: Polynomial.one()}
 
     def minor(mask):
-        if mask == 0:
-            return Polynomial.one()
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        row = n - bin(mask).count("1")
-        acc = {}
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            entry = rows[row][low.bit_length() - 1]
-            if entry.terms:
-                _acc(acc, entry * minor(mask ^ low), sign)
-            sign = -sign
-            rest ^= low
-        result = Polynomial._raw(acc)
-        memo[mask] = result
+        result = memo.get(mask)
+        if result is None:
+            acc = {}
+            for sign, entry, rest in pick(mask):
+                if entry.terms:
+                    accumulate(acc, (entry * minor(rest)).terms.items(), sign)
+            result = memo[mask] = Polynomial._raw(acc)
         return result
 
     return minor((1 << n) - 1)
 
 
-def pfaffian(mat):
-    """Pfaffian of a skew-symmetric matrix of even size, by first row expansion.
+def _bits(mask):
+    """Set bits of mask, lowest first, as (index, single bit) pairs."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1, low
+        mask ^= low
 
-    pfaffian(M)^2 equals determinant(M); the empty matrix has pfaffian 1.
-    """
-    n = len(mat)
+
+def _square(mat, name):
     rows = [[as_polynomial(e) for e in row] for row in mat]
-    if any(len(row) != n for row in rows):
-        raise ValueError("pfaffian needs a square matrix")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{name} needs a square matrix")
+    return rows
+
+
+def determinant(mat):
+    """Exact determinant by expansion along the top free row, memoised on column sets."""
+    rows = _square(mat, "determinant")
+    n = len(rows)
+
+    def pick(mask):
+        row = rows[n - bin(mask).count("1")]
+        for pos, (col, bit) in enumerate(_bits(mask)):
+            yield (-1) ** pos, row[col], mask ^ bit
+
+    return _expand(n, pick)
+
+
+def pfaffian(mat):
+    """Pfaffian of a skew-symmetric matrix of even size.
+
+    Expands along the lowest free index, pairing it with each other free
+    index in turn, memoised on the set of free indices.  pfaffian(M)^2 equals
+    determinant(M); the empty matrix has pfaffian 1.
+    """
+    rows = _square(mat, "pfaffian")
+    n = len(rows)
     if n % 2:
         raise ValueError(f"pfaffian needs even size, got {n}")
     for i in range(n):
@@ -335,16 +352,10 @@ def pfaffian(mat):
             if rows[i][j] != -rows[j][i]:
                 raise ValueError("pfaffian needs a skew-symmetric matrix")
 
-    def rec(idx):
-        if not idx:
-            return Polynomial.one()
-        first = idx[0]
-        rest = idx[1:]
-        acc = {}
-        for pos, j in enumerate(rest):
-            entry = rows[first][j]
-            if entry.terms:
-                _acc(acc, entry * rec(rest[:pos] + rest[pos + 1 :]), 1 if pos % 2 == 0 else -1)
-        return Polynomial._raw(acc)
+    def pick(mask):
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        for pos, (col, bit) in enumerate(_bits(mask ^ low)):
+            yield (-1) ** pos, row[col], mask ^ low ^ bit
 
-    return rec(tuple(range(n)))
+    return _expand(n, pick)

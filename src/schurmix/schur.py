@@ -7,45 +7,39 @@ Q-polynomials from the Pfaffian of the two-row building blocks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
 from .polyring import Polynomial, determinant, pfaffian
 
-_h_list = [Polynomial.one()]
-_q_list = [Polynomial.one()]
-_q_pair_cache = {}
-_schur_s_cache = {}
-_schur_q_cache = {}
+
+@functools.cache
+def _newton(n, step):
+    """Coefficient of z^n in exp(sum of t_k z^k over k = 1, 1+step, 1+2*step, ...),
+    via the Newton style recurrence n*e_n = sum_k k*t_k*e_(n-k)."""
+    if n < 0:
+        return Polynomial.zero()
+    if n == 0:
+        return Polynomial.one()
+    total = Polynomial.zero()
+    for k in range(1, n + 1, step):
+        total = total + Polynomial.variable(k) * _newton(n - k, step) * k
+    return total * Fraction(1, n)
 
 
 def complete_h(n):
     """h_n via the Newton style recurrence n*h_n = sum_k k*t_k*h_(n-k)."""
-    if n < 0:
-        return Polynomial.zero()
-    while len(_h_list) <= n:
-        m = len(_h_list)
-        acc = Polynomial.zero()
-        for k in range(1, m + 1):
-            acc = acc + Polynomial.variable(k) * _h_list[m - k] * k
-        _h_list.append(acc * Fraction(1, m))
-    return _h_list[n]
+    return _newton(n, 1)
 
 
 def q_fun(n):
     """q_n via n*q_n = sum over odd k of k*t_k*q_(n-k)."""
-    if n < 0:
-        return Polynomial.zero()
-    while len(_q_list) <= n:
-        m = len(_q_list)
-        acc = Polynomial.zero()
-        for k in range(1, m + 1, 2):
-            acc = acc + Polynomial.variable(k) * _q_list[m - k] * k
-        _q_list.append(acc * Fraction(1, m))
-    return _q_list[n]
+    return _newton(n, 2)
 
 
+@functools.cache
 def q_pair(m, n):
     """Two-row building block q_(m,n), antisymmetric in its arguments."""
     if m < 0 or n < 0:
@@ -54,40 +48,29 @@ def q_pair(m, n):
         return Polynomial.zero()
     if m < n:
         return -q_pair(n, m)
-    cached = _q_pair_cache.get((m, n))
-    if cached is None:
-        cached = q_fun(m) * q_fun(n)
-        for i in range(1, n + 1):
-            cached = cached + q_fun(m + i) * q_fun(n - i) * (2 if i % 2 == 0 else -2)
-        _q_pair_cache[(m, n)] = cached
-    return cached
+    total = q_fun(m) * q_fun(n)
+    for i in range(1, n + 1):
+        total = total + q_fun(m + i) * q_fun(n - i) * (2 if i % 2 == 0 else -2)
+    return total
 
 
+@functools.cache
 def schur_s(lam):
     """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i)."""
     parts = lam.parts
-    cached = _schur_s_cache.get(parts)
-    if cached is None:
-        n = len(parts)
-        cached = determinant(
-            [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
-        )
-        _schur_s_cache[parts] = cached
-    return cached
+    n = len(parts)
+    return determinant([[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)])
 
 
+@functools.cache
 def schur_q(lam):
     """Q-polynomial of a strict partition: Pfaffian of the q_pair matrix.
 
     Odd length partitions get a single trailing 0 before building the matrix.
     """
     parts = lam.parts
-    cached = _schur_q_cache.get(parts)
-    if cached is None:
-        seq = parts if len(parts) % 2 == 0 else parts + (0,)
-        cached = pfaffian([[q_pair(a, b) for b in seq] for a in seq])
-        _schur_q_cache[parts] = cached
-    return cached
+    seq = parts if len(parts) % 2 == 0 else parts + (0,)
+    return pfaffian([[q_pair(a, b) for b in seq] for a in seq])
 
 
 def rect_schur(a, b):

@@ -71,6 +71,37 @@ def random_skew_matrix(rng, size):
     return mat
 
 
+def perfect_matchings(items):
+    """All ways to split the list items into pairs, each pair in list order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        for matching in perfect_matchings(rest[:k] + rest[k + 1 :]):
+            yield [(first, partner)] + matching
+
+
+def pfaffian_by_matchings(mat):
+    """Independent Pfaffian oracle: the sum over perfect matchings of the
+    permutation sign times the product of the paired entries.
+
+    The sign comes from counting inversions of the matching written as the
+    permutation (i1, j1, i2, j2, ...), not from any expansion rule.
+    """
+    total = Polynomial.zero()
+    for matching in perfect_matchings(list(range(len(mat)))):
+        perm = [v for pair in matching for v in pair]
+        inversions = sum(
+            1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
+        )
+        term = Polynomial.constant((-1) ** inversions)
+        for i, j in matching:
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
 def single_additions(parts, i):
     """One node of color i added to a strict partition, all ways.
 

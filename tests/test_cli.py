@@ -1,5 +1,11 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
+import schurmix
 import schurmix.cli as cli
 from schurmix.mixed import VerificationReport
 from schurmix.polyring import Polynomial
@@ -182,6 +188,53 @@ def test_verify_all_command(capsys):
     assert lines[-1] == "all: 20 checks, all equal"
     assert "one m=1 n=2 equal=true" in lines
     assert "zero m=0 n=0 equal=true" in lines
+
+
+def test_verify_all_empty_sweep_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-all", "--max-m", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_module_entry_point():
+    src = str(Path(schurmix.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "schurmix.cli", "core", "3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "9,5,1\n"
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ schurmix ...` line in the README's
+    "Command line" block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = []
+    for chunk in block.split("$ schurmix ")[1:]:
+        command, _, output = chunk.partition("\n")
+        examples.append((shlex.split(command), output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert len(examples) == 12
+    for argv, expected in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if expected.startswith("...\n"):
+            # Elided sweep: only the summary line is shown.
+            assert out.splitlines()[-1] == expected[4:-1], argv
+        else:
+            assert out == expected, argv
 
 
 def test_fock_check_command(capsys):

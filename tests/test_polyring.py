@@ -13,7 +13,7 @@ from schurmix.polyring import (
     shift2,
 )
 
-from helpers import random_poly, random_skew_matrix
+from helpers import pfaffian_by_matchings, random_poly, random_skew_matrix
 
 
 def t(j):
@@ -179,6 +179,16 @@ def test_pfaffian_validation():
         pfaffian([[z, a], [a, z]])
     with pytest.raises(ValueError):
         pfaffian([[z, a], [-a, z], [z, z]])
+
+
+def test_pfaffian_matches_matching_sum():
+    rng = random.Random(2718)
+    for size in (6, 8):
+        for _ in range(3):
+            mat = random_skew_matrix(rng, size)
+            expected = pfaffian_by_matchings(mat)
+            assert not expected.is_zero
+            assert pfaffian(mat) == expected
 
 
 def test_pfaffian_squares_to_determinant():
