@@ -11,7 +11,7 @@ from .barquot import (
     maya,
     quotient,
 )
-from .polyring import Monomial, Polynomial, as_polynomial, determinant, pfaffian, shift2
+from .polyring import Polynomial, as_polynomial, determinant, pfaffian, shift2
 from .schur import RectShape, complete_h, q_fun, q_pair, rect_schur, schur_q, schur_s
 from .mixed import ExpansionTerm, VerificationReport, lhs, rect_shape, rhs, verify
 from .fock import (
@@ -40,7 +40,6 @@ __all__ = [
     "inverse_quotient",
     "maya",
     "quotient",
-    "Monomial",
     "Polynomial",
     "as_polynomial",
     "determinant",

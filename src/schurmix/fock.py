@@ -20,17 +20,20 @@ from fractions import Fraction
 from math import factorial
 
 from .partitions import StrictPartition, add_set, bar_core
-from .polyring import accumulate
+from .polyring import accumulate, as_fraction
 
 
 class Sqrt2Scalar:
-    """Number a + b*sqrt(2) with rational a and b.  Exact field arithmetic."""
+    """Number a + b*sqrt(2) with rational a and b.  Exact field arithmetic.
+
+    a and b must be int or Fraction; anything else is a TypeError.
+    """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = as_fraction(a)
+        self.b = as_fraction(b)
 
     @classmethod
     def sqrt2_pow(cls, k):

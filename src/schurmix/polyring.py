@@ -1,5 +1,11 @@
 """Sparse multivariate polynomials over exact rationals in t1, t2, t3, ...
 
+A monomial is a tuple of (var, exp) pairs, ascending in var, with every
+exp > 0; () is the monomial 1.  Polynomial.terms maps these tuples to nonzero
+Fractions and is read-only.  Polynomial(...) and Polynomial.variable check the
+monomials and coefficients given to them; products, sums and shift2 build
+canonical tuples directly and check nothing.
+
 Variable tj carries weight j, so t1^2*t3 has weighted degree 5.  Terms are
 kept in a canonical order: ascending weighted degree, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  The same
@@ -11,66 +17,44 @@ order drives the pretty printer and the JSON form
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 
-class Monomial:
-    """Product of variable powers, stored as an ascending tuple of (var, exp)."""
+def _monomial(spec):
+    """Canonical monomial from a {var: exp} dict or an iterable of (var, exp) pairs."""
+    items = spec.items() if isinstance(spec, dict) else spec
+    pairs = []
+    for var, exp in sorted(items):
+        var = int(var)
+        exp = int(exp)
+        if var < 1:
+            raise ValueError(f"variable index must be >= 1, got {var}")
+        if exp < 0:
+            raise ValueError(f"exponent must be >= 0, got {exp}")
+        if pairs and pairs[-1][0] == var:
+            raise ValueError(f"duplicate variable t{var}")
+        if exp:
+            pairs.append((var, exp))
+    return tuple(pairs)
 
-    __slots__ = ("exps",)
 
-    def __init__(self, exps=()):
-        items = exps.items() if isinstance(exps, dict) else exps
-        pairs = []
-        for var, exp in sorted(items):
-            var = int(var)
-            exp = int(exp)
-            if var < 1:
-                raise ValueError(f"variable index must be >= 1, got {var}")
-            if exp < 0:
-                raise ValueError(f"exponent must be >= 0, got {exp}")
-            if pairs and pairs[-1][0] == var:
-                raise ValueError(f"duplicate variable t{var}")
-            if exp:
-                pairs.append((var, exp))
-        self.exps = tuple(pairs)
+def _mono_mul(m1, m2):
+    """Product of two canonical monomials, itself canonical; nothing is checked."""
+    d = dict(m1)
+    for var, exp in m2:
+        d[var] = d.get(var, 0) + exp
+    return tuple(sorted(d.items()))
 
-    @property
-    def wdeg(self):
-        return sum(var * exp for var, exp in self.exps)
 
-    def exp(self, var):
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
+def _mono_str(mono):
+    return "*".join(f"t{var}^{exp}" if exp > 1 else f"t{var}" for var, exp in mono)
 
-    def __mul__(self, other):
-        d = dict(self.exps)
-        for var, exp in other.exps:
-            d[var] = d.get(var, 0) + exp
-        return Monomial(d)
 
-    def remap(self, f):
-        """Apply a variable renaming var -> f(var)."""
-        return Monomial(tuple((f(var), exp) for var, exp in self.exps))
-
-    def __eq__(self, other):
-        if isinstance(other, Monomial):
-            return self.exps == other.exps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return f"Monomial({self.exps!r})"
-
-    def __str__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(
-            f"t{var}^{exp}" if exp > 1 else f"t{var}" for var, exp in self.exps
-        )
+def as_fraction(value):
+    """value as a Fraction; only int and Fraction are exact, anything else is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(value).__name__}: {value!r}")
+    return Fraction(value)
 
 
 def accumulate(acc, items, sign=1):
@@ -93,28 +77,27 @@ def accumulate(acc, items, sign=1):
 
 
 class Polynomial:
-    """Finite Fraction-weighted sum of monomials.  Treated as immutable."""
+    """Finite Fraction-weighted sum of monomials.  Immutable: terms is read-only."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         d = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            accumulate(
-                d,
-                (
-                    (mono if isinstance(mono, Monomial) else Monomial(mono), Fraction(coeff))
-                    for mono, coeff in items
-                ),
-            )
-        self.terms = d
+            accumulate(d, ((_monomial(mono), as_fraction(coeff)) for mono, coeff in items))
+        self._terms = d
 
     @classmethod
     def _raw(cls, d):
         p = object.__new__(cls)
-        p.terms = d
+        p._terms = d
         return p
+
+    @property
+    def terms(self):
+        """Read-only view of the {monomial: Fraction} map."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls):
@@ -126,16 +109,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        c = Fraction(c)
-        return cls._raw({Monomial(): c} if c else {})
+        c = as_fraction(c)
+        return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, j):
-        return cls._raw({Monomial(((j, 1),)): Fraction(1)})
+        return cls._raw({_monomial(((j, 1),)): Fraction(1)})
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     @staticmethod
     def _coerce(value):
@@ -149,24 +132,24 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items()))
+        return Polynomial._raw(accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw({m: -c for m, c in self.terms.items()})
+        return Polynomial._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(accumulate(dict(self.terms), other.terms.items(), -1))
+        return Polynomial._raw(accumulate(dict(self._terms), other._terms.items(), -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -179,14 +162,18 @@ class Polynomial:
             c = Fraction(other)
             if not c:
                 return Polynomial.zero()
-            return Polynomial._raw({m: co * c for m, co in self.terms.items()})
+            return Polynomial._raw({m: co * c for m, co in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        right = other.terms.items()
+        right = other._terms.items()
         return Polynomial._raw(
             accumulate(
                 {},
-                ((m1 * m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right),
+                (
+                    (_mono_mul(m1, m2), c1 * c2)
+                    for m1, c1 in self._terms.items()
+                    for m2, c2 in right
+                ),
             )
         )
 
@@ -201,7 +188,7 @@ class Polynomial:
         return result
 
     def weighted_degrees(self):
-        return {mono.wdeg for mono in self.terms}
+        return {sum(var * exp for var, exp in mono) for mono in self._terms}
 
     def homogeneous_degree(self):
         """Common weighted degree of all terms, or None if mixed or zero."""
@@ -209,44 +196,50 @@ class Polynomial:
         return degs.pop() if len(degs) == 1 else None
 
     def eval(self, assignment):
-        """Exact value with tj = assignment[j]; every variable must be covered."""
+        """Exact value with tj = assignment[j]; every variable must be covered.
+
+        Values must be int or Fraction; anything else is a TypeError.
+        """
+        values = {var: as_fraction(value) for var, value in assignment.items()}
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             value = coeff
-            for var, exp in mono.exps:
-                if var not in assignment:
+            for var, exp in mono:
+                if var not in values:
                     raise ValueError(f"no value given for t{var}")
-                value *= Fraction(assignment[var]) ** exp
+                value *= values[var] ** exp
             total += value
         return total
 
     def sorted_terms(self):
         """Terms in the canonical order used for printing and serialization."""
-        if not self.terms:
+        if not self._terms:
             return []
-        top = max((mono.exps[-1][0] for mono in self.terms if mono.exps), default=0)
+        top = max((mono[-1][0] for mono in self._terms if mono), default=0)
 
         def key(item):
             mono = item[0]
             vec = [0] * top
-            for var, exp in mono.exps:
+            wdeg = 0
+            for var, exp in mono:
                 vec[var - 1] = -exp
-            return (mono.wdeg, tuple(vec))
+                wdeg += var * exp
+            return (wdeg, tuple(vec))
 
-        return sorted(self.terms.items(), key=key)
+        return sorted(self._terms.items(), key=key)
 
     def pretty(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         chunks = []
         for mono, coeff in self.sorted_terms():
             mag = -coeff if coeff < 0 else coeff
-            if not mono.exps:
+            if not mono:
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = _mono_str(mono)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_mono_str(mono)}"
             if not chunks:
                 chunks.append(f"-{body}" if coeff < 0 else body)
             else:
@@ -263,7 +256,7 @@ class Polynomial:
             "terms": [
                 {
                     "coeff": f"{c.numerator}/{c.denominator}",
-                    "mono": {str(var): str(exp) for var, exp in m.exps},
+                    "mono": {str(var): str(exp) for var, exp in m},
                 }
                 for m, c in self.sorted_terms()
             ]
@@ -280,7 +273,7 @@ def as_polynomial(value):
 def shift2(p):
     """Substitute tj -> t(2j) in every monomial."""
     return Polynomial._raw(
-        {mono.remap(lambda v: 2 * v): coeff for mono, coeff in p.terms.items()}
+        {tuple((2 * v, e) for v, e in mono): coeff for mono, coeff in p._terms.items()}
     )
 
 
@@ -298,8 +291,8 @@ def _expand(n, pick):
         if result is None:
             acc = {}
             for sign, entry, rest in pick(mask):
-                if entry.terms:
-                    accumulate(acc, (entry * minor(rest)).terms.items(), sign)
+                if entry._terms:
+                    accumulate(acc, (entry * minor(rest))._terms.items(), sign)
             result = memo[mask] = Polynomial._raw(acc)
         return result
 
@@ -346,7 +339,7 @@ def pfaffian(mat):
     if n % 2:
         raise ValueError(f"pfaffian needs even size, got {n}")
     for i in range(n):
-        if rows[i][i].terms:
+        if rows[i][i]._terms:
             raise ValueError("pfaffian needs a zero diagonal")
         for j in range(i + 1, n):
             if rows[i][j] != -rows[j][i]:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from schurmix.partitions import color
-from schurmix.polyring import Monomial, Polynomial
+from schurmix.polyring import Polynomial
 
 
 def partitions_of(n, max_part=None):
@@ -55,7 +55,7 @@ def random_weak_parts(rng, max_weight=20, max_part=8):
 def random_poly(rng, max_terms=3, max_var=3, max_exp=2):
     terms = []
     for _ in range(rng.randint(0, max_terms)):
-        mono = Monomial({v: rng.randint(0, max_exp) for v in range(1, max_var + 1)})
+        mono = {v: rng.randint(0, max_exp) for v in range(1, max_var + 1)}
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         terms.append((mono, coeff))
     return Polynomial(terms)

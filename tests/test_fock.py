@@ -33,6 +33,13 @@ def test_sqrt2_scalar_field():
     assert Sqrt2Scalar(1) / SQRT2 == Sqrt2Scalar(0, Fraction(1, 2))
     with pytest.raises(ZeroDivisionError):
         x / Sqrt2Scalar()
+    # components are exact: int or Fraction, never float
+    with pytest.raises(TypeError):
+        Sqrt2Scalar(0.5)
+    with pytest.raises(TypeError):
+        Sqrt2Scalar(1, 0.5)
+    with pytest.raises(TypeError):
+        FockVector({state(1): 0.5})
 
 
 def test_sqrt2_powers():

@@ -4,16 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import (
-    Monomial,
     Polynomial,
+    _monomial,
     as_polynomial,
     determinant,
     pfaffian,
     shift2,
 )
+from schurmix.schur import schur_q, schur_s
 
-from helpers import pfaffian_by_matchings, random_poly, random_skew_matrix
+from helpers import (
+    partitions_of,
+    pfaffian_by_matchings,
+    random_poly,
+    random_skew_matrix,
+    strict_partitions_of,
+)
 
 
 def t(j):
@@ -21,23 +29,54 @@ def t(j):
 
 
 def test_monomial_basics():
-    m = Monomial({1: 2, 3: 1})
-    assert m.wdeg == 5
-    assert m.exp(1) == 2 and m.exp(2) == 0
-    assert str(m) == "t1^2*t3"
-    assert str(Monomial()) == "1"
-    assert (m * Monomial({2: 1})).exps == ((1, 2), (2, 1), (3, 1))
-    assert m.remap(lambda v: 2 * v).exps == ((2, 2), (6, 1))
+    m = Polynomial([({3: 1, 1: 2}, 1)])
+    assert m.terms == {((1, 2), (3, 1)): 1}
+    assert m.homogeneous_degree() == 5
+    assert m.pretty() == "t1^2*t3"
+    assert Polynomial([((), 1)]).pretty() == "1"
+    assert (m * t(2)).terms == {((1, 2), (2, 1), (3, 1)): 1}
+    assert shift2(m).terms == {((2, 2), (6, 1)): 1}
 
 
 def test_monomial_validation():
+    for spec in ({0: 1}, {2: -1}, ((1, 1), (1, 2))):
+        with pytest.raises(ValueError):
+            Polynomial([(spec, 1)])
+    assert Polynomial([({2: 0}, 1)]).terms == {(): 1}
+    # coefficients are exact: int or Fraction, never float
+    with pytest.raises(TypeError):
+        Polynomial({(): 0.1})
+    with pytest.raises(TypeError):
+        Polynomial([({1: 1}, 1.0)])
+    with pytest.raises(TypeError):
+        Polynomial.constant(0.5)
+    assert Polynomial({(): Fraction(1, 10)}).pretty() == "1/10"
+
+
+def test_internal_monomials_are_canonical():
+    # products, sums and shift2 build monomial tuples without validation;
+    # every key they make must already be in the form _monomial returns
+    def check(p):
+        for mono in p.terms:
+            assert _monomial(mono) == mono
+
+    rng = random.Random(808)
+    for _ in range(40):
+        a, b = random_poly(rng), random_poly(rng)
+        check(a * b)
+        check(a + b)
+        check(shift2(a))
+    for n in range(9):
+        for parts in partitions_of(n):
+            check(schur_s(Partition(parts)))
+        for parts in strict_partitions_of(n):
+            check(schur_q(StrictPartition(parts)))
     with pytest.raises(ValueError):
-        Monomial({0: 1})
+        Polynomial.variable(0)
     with pytest.raises(ValueError):
-        Monomial({2: -1})
+        Polynomial([(((2, 1), (2, 1)), 1)])
     with pytest.raises(ValueError):
-        Monomial(((1, 1), (1, 2)))
-    assert Monomial({2: 0}).exps == ()
+        Polynomial([(((1, -1),), 1)])
 
 
 def test_polynomial_arithmetic():
@@ -87,6 +126,8 @@ def test_eval():
     assert p.eval({1: Fraction(1, 2), 2: Fraction(-1, 8)}) == 0
     with pytest.raises(ValueError):
         p.eval({1: 2})
+    with pytest.raises(TypeError):
+        p.eval({1: 2, 2: 0.5})
     rng = random.Random(4)
     point = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(1, 4)}
     for _ in range(20):
@@ -107,8 +148,8 @@ def test_pretty_printing():
 def test_canonical_term_order():
     # ascending weighted degree, then larger exponent vector first
     p = t(3) + t(1) ** 3 + t(1) + t(1) * t(2)
-    names = [str(m) for m, _ in p.sorted_terms()]
-    assert names == ["t1", "t1^3", "t1*t2", "t3"]
+    monos = [m for m, _ in p.sorted_terms()]
+    assert monos == [((1, 1),), ((1, 3),), ((1, 1), (2, 1)), ((3, 1),)]
 
 
 def test_json_form():

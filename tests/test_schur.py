@@ -40,7 +40,25 @@ def test_q_fun_values():
 def test_q_fun_uses_only_odd_variables():
     for n in range(9):
         for mono in q_fun(n).terms:
-            assert all(var % 2 == 1 for var, _ in mono.exps)
+            assert all(var % 2 == 1 for var, _ in mono)
+
+
+def test_cached_results_cannot_be_corrupted():
+    cached = [
+        (lambda: schur_s(Partition((2, 1))), "1/3*t1^3 - t3"),
+        (lambda: schur_q(StrictPartition((2, 1))), "1/6*t1^3 - 2*t3"),
+        (lambda: q_pair(2, 1), "1/6*t1^3 - 2*t3"),
+        (lambda: complete_h(3), "1/6*t1^3 + t1*t2 + t3"),
+        (lambda: q_fun(3), "1/6*t1^3 + t3"),
+    ]
+    for build, expected in cached:
+        with pytest.raises(AttributeError):
+            build().terms.clear()
+        with pytest.raises(TypeError):
+            build().terms[()] = 1
+        with pytest.raises(AttributeError):
+            build().terms = {}
+        assert build().pretty() == expected
 
 
 def test_series_pieces_are_homogeneous():
