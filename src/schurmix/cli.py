@@ -2,6 +2,11 @@
 
 Exit codes: 0 when the requested check holds (or plain output succeeded),
 1 when a verified identity fails, 2 on invalid input.
+
+Commands that build S- or Q-polynomials refuse, with exit 2, any input whose
+weight exceeds MAX_WEIGHT, before building anything: the partition's weight
+for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
+the largest rectangle of the sweep for verify-all.  Library calls have no limit.
 """
 
 from __future__ import annotations
@@ -16,6 +21,13 @@ from .mixed import lhs, rect_shape, verify
 from .partitions import Partition, StrictPartition, add_set, bar_core
 from .polyring import shift2
 from .schur import schur_q, schur_s
+
+
+# On a 2-vCPU Xeon host weight 36 takes about 8 s (schur-s 36) to 9 s (verify
+# of the 6x6 rectangle), and weight 42 about 40 s: the cost grows with the
+# number of partitions of the weight.  The README examples and the benchmark's
+# calls all have weight 32 or less.
+MAX_WEIGHT = 36
 
 
 class _UsageError(Exception):
@@ -52,6 +64,16 @@ def _resolve_case(case, core, m, need_case=False):
     if case is None and need_case:
         raise ValueError("missing --case")
     return case, m
+
+
+def _check_weight(weight, what):
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"{what} has weight {weight}, over the limit of {MAX_WEIGHT}")
+
+
+def _check_rect(case, m, n, what="rectangle"):
+    shape = rect_shape(case, m, n)
+    _check_weight(max(shape.rows, 0) * max(shape.cols, 0), f"{what} {shape}")
 
 
 def _term_record(t):
@@ -113,7 +135,9 @@ def cmd_abacus(ns):
 
 
 def cmd_schur_s(ns):
-    poly = schur_s(_partition(ns.partition))
+    lam = _partition(ns.partition)
+    _check_weight(lam.weight, f"partition {lam}")
+    poly = schur_s(lam)
     if ns.t2:
         poly = shift2(poly)
     _print_poly(poly, ns.json)
@@ -121,12 +145,15 @@ def cmd_schur_s(ns):
 
 
 def cmd_schur_q(ns):
-    _print_poly(schur_q(_partition(ns.partition, strict=True)), ns.json)
+    lam = _partition(ns.partition, strict=True)
+    _check_weight(lam.weight, f"partition {lam}")
+    _print_poly(schur_q(lam), ns.json)
     return 0
 
 
 def cmd_expand(ns):
     case, m = _resolve_case(ns.case, ns.core, ns.m, need_case=True)
+    _check_rect(case, m, ns.n)
     total, terms = lhs(case, m, ns.n)
     if ns.json:
         print(
@@ -151,6 +178,7 @@ def cmd_expand(ns):
 
 def cmd_verify(ns):
     case, m = _resolve_case(ns.case, ns.core, ns.m, need_case=True)
+    _check_rect(case, m, ns.n)
     report = verify(case, m, ns.n)
     if ns.json:
         print(
@@ -181,6 +209,9 @@ def cmd_verify(ns):
 def cmd_verify_all(ns):
     if ns.max_m < 0:
         raise ValueError(f"--max-m must be >= 0, got {ns.max_m}; the sweep would be empty")
+    # The largest rectangle of the sweep is case zero at m = n = max_m, with
+    # weight max_m * (max_m + 1); case one peaks at max_m^2.
+    _check_rect("zero", ns.max_m, ns.max_m, "the sweep's largest rectangle")
     failures = 0
     checks = 0
     for case in ("one", "zero"):

@@ -27,6 +27,11 @@ class Partition:
     def weight(self):
         return sum(self.parts)
 
+    def conjugate(self):
+        """Transposed diagram: part j is the number of parts >= j."""
+        parts = self.parts
+        return Partition(sum(p >= j for p in parts) for j in range(1, max(parts, default=0) + 1))
+
     def __len__(self):
         return len(self.parts)
 

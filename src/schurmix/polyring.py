@@ -3,8 +3,8 @@
 A monomial is a tuple of (var, exp) pairs, ascending in var, with every
 exp > 0; () is the monomial 1.  Polynomial.terms maps these tuples to nonzero
 Fractions and is read-only.  Polynomial(...) and Polynomial.variable check the
-monomials and coefficients given to them; products, sums and shift2 build
-canonical tuples directly and check nothing.
+monomials and coefficients given to them; products, sums, shift2 and omega
+build canonical tuples directly and check nothing.
 
 Variable tj carries weight j, so t1^2*t3 has weighted degree 5.  Terms are
 kept in a canonical order: ascending weighted degree, ties broken by the
@@ -21,18 +21,25 @@ from types import MappingProxyType
 
 
 def _monomial(spec):
-    """Canonical monomial from a {var: exp} dict or an iterable of (var, exp) pairs."""
+    """Canonical monomial from a {var: exp} dict or an iterable of (var, exp) pairs.
+
+    Variables and exponents must be of type int, so a float or a bool is a
+    TypeError.  A variable may appear once, even with exponent 0 (ValueError
+    otherwise).
+    """
     items = spec.items() if isinstance(spec, dict) else spec
     pairs = []
+    prev = None
     for var, exp in sorted(items):
-        var = int(var)
-        exp = int(exp)
+        if type(var) is not int or type(exp) is not int:
+            raise TypeError(f"variable and exponent must be int, got ({var!r}, {exp!r})")
         if var < 1:
             raise ValueError(f"variable index must be >= 1, got {var}")
         if exp < 0:
             raise ValueError(f"exponent must be >= 0, got {exp}")
-        if pairs and pairs[-1][0] == var:
+        if var == prev:
             raise ValueError(f"duplicate variable t{var}")
+        prev = var
         if exp:
             pairs.append((var, exp))
     return tuple(pairs)
@@ -274,6 +281,20 @@ def shift2(p):
     """Substitute tj -> t(2j) in every monomial."""
     return Polynomial._raw(
         {tuple((2 * v, e) for v, e in mono): coeff for mono, coeff in p._terms.items()}
+    )
+
+
+def omega(p):
+    """Substitute tj -> (-1)^(j+1) tj: the involution that maps S_lam to S_lam'.
+
+    A coefficient changes sign when the exponents of its even variables add up
+    to an odd number.
+    """
+    return Polynomial._raw(
+        {
+            mono: -coeff if sum(e for v, e in mono if not v & 1) & 1 else coeff
+            for mono, coeff in p._terms.items()
+        }
     )
 
 

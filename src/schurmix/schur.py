@@ -1,8 +1,12 @@
 """Complete pieces h_n, odd pieces q_n, S- and Q-polynomials, rectangles.
 
 h_n is the coefficient of z^n in exp(sum_k t_k z^k) and q_n the coefficient of
-z^n in exp(sum_k odd t_k z^k).  S-polynomials come from the h determinant,
-Q-polynomials from the Pfaffian of the two-row building blocks.
+z^n in exp(sum_k odd t_k z^k).  S-polynomials come from the h Jacobi-Trudi
+determinant in the smaller of its two orientations: a shape with fewer columns
+than rows is built from its conjugate, whose determinant has size lam_1 rather
+than len(lam), and mapped back by the involution omega (S_lam' = omega(S_lam),
+omega: tj -> (-1)^(j+1) tj).  Q-polynomials come from the Pfaffian of the
+two-row building blocks.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
-from .polyring import Polynomial, determinant, pfaffian
+from .polyring import Polynomial, determinant, omega, pfaffian
 
 
 @functools.cache
@@ -56,9 +60,15 @@ def q_pair(m, n):
 
 @functools.cache
 def schur_s(lam):
-    """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i)."""
+    """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i).
+
+    The determinant has size min(len(lam), lam_1): when lam_1 < len(lam) the
+    result is omega of the S-polynomial of the conjugate partition.
+    """
     parts = lam.parts
     n = len(parts)
+    if n and parts[0] < n:
+        return omega(schur_s(lam.conjugate()))
     return determinant([[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)])
 
 

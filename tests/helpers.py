@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from schurmix.partitions import color
 from schurmix.polyring import Polynomial
 
@@ -59,6 +61,14 @@ def random_poly(rng, max_terms=3, max_var=3, max_exp=2):
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
         terms.append((mono, coeff))
     return Polynomial(terms)
+
+
+def polynomials(max_terms=4, max_var=4, max_exp=3):
+    """Hypothesis strategy for polynomials shaped like random_poly's, over
+    t1..t(max_var) so that even variables occur."""
+    mono = st.dictionaries(st.integers(1, max_var), st.integers(0, max_exp))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.lists(st.tuples(mono, coeff), max_size=max_terms).map(Polynomial)
 
 
 def random_skew_matrix(rng, size):

@@ -197,6 +197,44 @@ def test_verify_all_empty_sweep_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def _refuse_to_build(*args):
+    raise AssertionError("the weight limit must be checked before building")
+
+
+OVERSIZED = [
+    ["schur-s", "1500"],
+    ["schur-s", ",".join(["1"] * 37)],
+    ["schur-q", "30,7"],
+    ["expand", "--core", "-6", "--n", "6"],
+    ["verify", "--case", "one", "--m", "12", "--n", "6"],
+    ["verify-all", "--max-m", "6"],
+]
+
+
+def test_oversized_input_is_usage_error(capsys, monkeypatch):
+    for name in ("schur_s", "schur_q", "lhs", "verify"):
+        monkeypatch.setattr(cli, name, _refuse_to_build)
+    for argv in OVERSIZED:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {cli.MAX_WEIGHT}" in err, argv
+
+
+def test_weight_limit_admits_benchmark_calls(capsys, monkeypatch):
+    def fake_verify(case, m, n):
+        zero = Polynomial.zero()
+        return VerificationReport(case, m, n, zero, zero, True, zero, ())
+
+    monkeypatch.setattr(cli, "verify", fake_verify)
+    monkeypatch.setattr(cli, "schur_s", lambda lam: Polynomial.one())
+    # the largest rectangles the benchmark verifies: 6x5, 8x4 and 9x3
+    for case, m, n in (("zero", 5, 6), ("one", 6, 4), ("one", 6, 3)):
+        assert run_cli(capsys, "verify", "--case", case, "--m", str(m), "--n", str(n))[0] == 0
+    assert run_cli(capsys, "verify-all", "--max-m", "5")[0] == 0
+    assert run_cli(capsys, "schur-s", ",".join(["1"] * cli.MAX_WEIGHT))[0] == 0
+
+
 def test_module_entry_point():
     src = str(Path(schurmix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import (
@@ -10,14 +11,16 @@ from schurmix.polyring import (
     _monomial,
     as_polynomial,
     determinant,
+    omega,
     pfaffian,
     shift2,
 )
-from schurmix.schur import schur_q, schur_s
+from schurmix.schur import complete_h, schur_q, schur_s
 
 from helpers import (
     partitions_of,
     pfaffian_by_matchings,
+    polynomials,
     random_poly,
     random_skew_matrix,
     strict_partitions_of,
@@ -39,10 +42,18 @@ def test_monomial_basics():
 
 
 def test_monomial_validation():
-    for spec in ({0: 1}, {2: -1}, ((1, 1), (1, 2))):
+    # a duplicate variable is caught even when one copy has exponent 0
+    for spec in ({0: 1}, {2: -1}, ((1, 1), (1, 2)), ((1, 0), (1, 2)), ((1, 2), (1, 0))):
         with pytest.raises(ValueError):
             Polynomial([(spec, 1)])
     assert Polynomial([({2: 0}, 1)]).terms == {(): 1}
+    # variables and exponents are int, never truncated
+    for spec in ({1.5: 1}, {1: 2.0}, {1: Fraction(1)}, (("1", 1),), {True: 1}):
+        with pytest.raises(TypeError):
+            Polynomial([(spec, 1)])
+    for j in (1.5, True):
+        with pytest.raises(TypeError):
+            Polynomial.variable(j)
     # coefficients are exact: int or Fraction, never float
     with pytest.raises(TypeError):
         Polynomial({(): 0.1})
@@ -111,6 +122,30 @@ def test_shift2():
         a, b = random_poly(rng), random_poly(rng)
         assert shift2(a * b) == shift2(a) * shift2(b)
         assert shift2(a + b) == shift2(a) + shift2(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), polynomials())
+def test_omega_is_a_ring_involution(a, b):
+    assert omega(omega(a)) == a
+    assert omega(a * b) == omega(a) * omega(b)
+    assert omega(a + b) == omega(a) + omega(b)
+
+
+def test_omega_maps_h_to_e():
+    # e_n is the coefficient of z^n in exp(sum_k (-1)^(k+1) t_k z^k), by hand
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    elementary = [
+        Polynomial.one(),
+        t(1),
+        half * t(1) ** 2 - t(2),
+        sixth * t(1) ** 3 - t(1) * t(2) + t(3),
+        Fraction(1, 24) * t(1) ** 4 - half * t(1) ** 2 * t(2) + t(1) * t(3)
+        + half * t(2) ** 2 - t(4),
+    ]
+    for n, e_n in enumerate(elementary):
+        assert omega(complete_h(n)) == e_n
+        assert omega(e_n) == complete_h(n)
 
 
 def test_weighted_degree_helpers():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from schurmix.partitions import Partition, StrictPartition
-from schurmix.polyring import Polynomial
+from schurmix.polyring import Polynomial, determinant, omega
 from schurmix.schur import (
     RectShape,
     complete_h,
@@ -14,7 +14,12 @@ from schurmix.schur import (
     schur_s,
 )
 
-from helpers import power_sum_assignment, classical_schur_value, strict_partitions_of
+from helpers import (
+    classical_schur_value,
+    partitions_of,
+    power_sum_assignment,
+    strict_partitions_of,
+)
 
 
 def t(j):
@@ -44,7 +49,10 @@ def test_q_fun_uses_only_odd_variables():
 
 
 def test_cached_results_cannot_be_corrupted():
+    # schur_s((1, 1, 1)) is omega of the cached schur_s((3,)), which must not change
     cached = [
+        (lambda: schur_s(Partition((1, 1, 1))), "1/6*t1^3 - t1*t2 + t3"),
+        (lambda: schur_s(Partition((3,))), "1/6*t1^3 + t1*t2 + t3"),
         (lambda: schur_s(Partition((2, 1))), "1/3*t1^3 - t3"),
         (lambda: schur_q(StrictPartition((2, 1))), "1/6*t1^3 - 2*t3"),
         (lambda: q_pair(2, 1), "1/6*t1^3 - 2*t3"),
@@ -58,6 +66,7 @@ def test_cached_results_cannot_be_corrupted():
             build().terms[()] = 1
         with pytest.raises(AttributeError):
             build().terms = {}
+        omega(build())
         assert build().pretty() == expected
 
 
@@ -75,6 +84,29 @@ def test_schur_s_basics():
     for parts in ((2, 1), (3, 2, 1), (2, 2)):
         lam = Partition(parts)
         assert schur_s(lam).homogeneous_degree() == lam.weight
+
+
+def test_conjugate():
+    assert Partition().conjugate() == Partition()
+    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
+    assert Partition((4, 4, 2)).conjugate() == Partition((3, 3, 2, 2))
+    for weight in range(11):
+        for parts in partitions_of(weight):
+            lam = Partition(parts)
+            assert lam.conjugate().weight == weight
+            assert lam.conjugate().conjugate() == lam
+
+
+def test_schur_s_matches_plain_jacobi_trudi():
+    # the h determinant in the orientation of lam itself, never via schur_s,
+    # whatever orientation schur_s picks
+    for weight in range(11):
+        for parts in partitions_of(weight):
+            n = len(parts)
+            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
+            lam = Partition(parts)
+            assert schur_s(lam) == determinant(mat), parts
+            assert schur_s(lam.conjugate()) == omega(schur_s(lam)), parts
 
 
 def test_q_pair_values():
