@@ -6,7 +6,10 @@ Exit codes: 0 when the requested check holds (or plain output succeeded),
 Commands that build S- or Q-polynomials refuse, with exit 2, any input whose
 weight exceeds MAX_WEIGHT, before building anything: the partition's weight
 for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
-the largest rectangle of the sweep for verify-all.  Library calls have no limit.
+the largest rectangle of the sweep for verify-all.  In the same way core
+refuses a core index beyond MAX_CORE_INDEX, and enumerate a core index beyond
+MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.  Library calls have
+no limit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ from .schur import schur_q, schur_s
 # number of partitions of the weight.  The README examples and the benchmark's
 # calls all have weight 32 or less.
 MAX_WEIGHT = 36
+
+# core prints the |m| parts of the core with index m on one line.
+MAX_CORE_INDEX = 1000
+
+# enumerate builds the whole addition set before printing it.  Its size peaks
+# near ell = |core|: on the same host 17303 partitions in 0.3 s for core -10,
+# 143365 in 3 s for core -12 and 414584 in 10 s for core -13.  A core with
+# index m takes at most 2|m| + 1 nodes of its color, so no larger ell has a
+# result, while a huge ell still costs time and memory.
+MAX_ENUMERATE_CORE = 10
+MAX_ENUMERATE_ELL = 2 * MAX_ENUMERATE_CORE + 1
 
 
 class _UsageError(Exception):
@@ -71,6 +85,11 @@ def _check_weight(weight, what):
         raise ValueError(f"{what} has weight {weight}, over the limit of {MAX_WEIGHT}")
 
 
+def _check_limit(what, size, limit):
+    if size > limit:
+        raise ValueError(f"{what} is over the limit of {limit}")
+
+
 def _check_rect(case, m, n, what="rectangle"):
     shape = rect_shape(case, m, n)
     _check_weight(max(shape.rows, 0) * max(shape.cols, 0), f"{what} {shape}")
@@ -93,6 +112,7 @@ def _print_poly(poly, as_json):
 
 
 def cmd_core(ns):
+    _check_limit(f"core index {ns.m}", abs(ns.m), MAX_CORE_INDEX)
     print(bar_core(ns.m).to_text())
     return 0
 
@@ -117,6 +137,8 @@ def cmd_inverse(ns):
 
 def cmd_enumerate(ns):
     case, _ = _resolve_case(ns.case, ns.core, None)
+    _check_limit(f"core index {ns.core}", abs(ns.core), MAX_ENUMERATE_CORE)
+    _check_limit(f"--ell {ns.ell}", ns.ell, MAX_ENUMERATE_ELL)
     color = 1 if case == "one" else 0
     for mu in add_set(bar_core(ns.core), color, ns.ell):
         print(mu.to_text())

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 
 class Partition:
-    """Weakly decreasing tuple of positive integers; () is the empty partition."""
+    """Weakly decreasing tuple of positive integers; () is the empty partition.
+
+    Every part must be of type int, so a float, a string or a bool is a TypeError.
+    """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for k, p in enumerate(parts):
+            if type(p) is not int:
+                raise TypeError(f"parts must be int, got {p!r}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
             if k and parts[k - 1] < p:

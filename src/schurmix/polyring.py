@@ -1,10 +1,20 @@
 """Sparse multivariate polynomials over exact rationals in t1, t2, t3, ...
 
 A monomial is a tuple of (var, exp) pairs, ascending in var, with every
-exp > 0; () is the monomial 1.  Polynomial.terms maps these tuples to nonzero
-Fractions and is read-only.  Polynomial(...) and Polynomial.variable check the
-monomials and coefficients given to them; products, sums, shift2 and omega
+exp > 0; () is the monomial 1.  Polynomial(...) and Polynomial.variable check
+the monomials and coefficients given to them; products, sums, shift2 and omega
 build canonical tuples directly and check nothing.
+
+Internally a polynomial is stored in the divided-power basis: the coefficient
+kept for a monomial is the coefficient of prod tj^mj / mj!, that is, the
+ordinary coefficient times prod mj!.  In this basis a product of monomials is
+t^(a) * t^(b) = prod_j binom(aj + bj, aj) * t^(a+b), shift2 and omega leave the
+coefficients as they are, and h_n, q_n and every S- and Q-polynomial have
+plain int coefficients, so determinants and Pfaffians run on ints.  Fractions
+appear only at the boundary: caller-supplied coefficients are converted on the
+way in (and stay Fractions when not integral), and Polynomial.terms, eval,
+sorted_terms, pretty and to_json_obj give ordinary-basis Fractions.
+Polynomial.terms is a read-only {monomial: Fraction} map built on each read.
 
 Variable tj carries weight j, so t1^2*t3 has weighted degree 5.  Terms are
 kept in a canonical order: ascending weighted degree, ties broken by the
@@ -17,6 +27,7 @@ order drives the pretty printer and the JSON form
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from types import MappingProxyType
 
 
@@ -46,11 +57,47 @@ def _monomial(spec):
 
 
 def _mono_mul(m1, m2):
-    """Product of two canonical monomials, itself canonical; nothing is checked."""
+    """Product of two canonical divided-power monomials; nothing is checked.
+
+    Returns the canonical monomial a+b and the int factor prod binom(aj + bj, aj)
+    over the variables m1 and m2 share, so that t^(a) * t^(b) = factor * t^(a+b).
+    """
     d = dict(m1)
+    factor = 1
     for var, exp in m2:
-        d[var] = d.get(var, 0) + exp
-    return tuple(sorted(d.items()))
+        old = d.get(var)
+        if old:
+            exp += old
+            factor *= comb(exp, old)
+        d[var] = exp
+    return tuple(sorted(d.items())), factor
+
+
+def _products(left, right):
+    """(monomial, coefficient) of every pairwise term product of two divided-power term maps."""
+    right = right.items()
+    for m1, c1 in left.items():
+        for m2, c2 in right:
+            mono, factor = _mono_mul(m1, m2)
+            yield mono, c1 * c2 * factor
+
+
+def _factorials(mono):
+    """prod mj! over the monomial: the ratio of its divided-power to its ordinary coefficient."""
+    out = 1
+    for _, exp in mono:
+        out *= factorial(exp)
+    return out
+
+
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ordinary(mono, coeff):
+    """Ordinary-basis Fraction coefficient of a divided-power term."""
+    return Fraction(coeff, _factorials(mono))
 
 
 def _mono_str(mono):
@@ -84,7 +131,7 @@ def accumulate(acc, items, sign=1):
 
 
 class Polynomial:
-    """Finite Fraction-weighted sum of monomials.  Immutable: terms is read-only."""
+    """Finite rational-weighted sum of monomials.  Immutable: terms is read-only."""
 
     __slots__ = ("_terms",)
 
@@ -92,7 +139,8 @@ class Polynomial:
         d = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            accumulate(d, ((_monomial(mono), as_fraction(coeff)) for mono, coeff in items))
+            pairs = ((_monomial(mono), as_fraction(coeff)) for mono, coeff in items)
+            accumulate(d, ((m, _exact(c * _factorials(m))) for m, c in pairs))
         self._terms = d
 
     @classmethod
@@ -103,8 +151,8 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Read-only view of the {monomial: Fraction} map."""
-        return MappingProxyType(self._terms)
+        """Read-only {monomial: Fraction} map of the ordinary-basis coefficients."""
+        return MappingProxyType({m: _ordinary(m, c) for m, c in self._terms.items()})
 
     @classmethod
     def zero(cls):
@@ -116,12 +164,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        c = as_fraction(c)
+        c = _exact(as_fraction(c))
         return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, j):
-        return cls._raw({_monomial(((j, 1),)): Fraction(1)})
+        return cls._raw({_monomial(((j, 1),)): 1})
 
     @property
     def is_zero(self):
@@ -166,23 +214,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return Polynomial.zero()
             return Polynomial._raw({m: co * c for m, co in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        right = other._terms.items()
-        return Polynomial._raw(
-            accumulate(
-                {},
-                (
-                    (_mono_mul(m1, m2), c1 * c2)
-                    for m1, c1 in self._terms.items()
-                    for m2, c2 in right
-                ),
-            )
-        )
+        return Polynomial._raw(accumulate({}, _products(self._terms, other._terms)))
 
     __rmul__ = __mul__
 
@@ -210,7 +248,7 @@ class Polynomial:
         values = {var: as_fraction(value) for var, value in assignment.items()}
         total = Fraction(0)
         for mono, coeff in self._terms.items():
-            value = coeff
+            value = _ordinary(mono, coeff)
             for var, exp in mono:
                 if var not in values:
                     raise ValueError(f"no value given for t{var}")
@@ -219,7 +257,8 @@ class Polynomial:
         return total
 
     def sorted_terms(self):
-        """Terms in the canonical order used for printing and serialization."""
+        """(monomial, ordinary Fraction) pairs in the canonical order used for
+        printing and serialization."""
         if not self._terms:
             return []
         top = max((mono[-1][0] for mono in self._terms if mono), default=0)
@@ -233,7 +272,7 @@ class Polynomial:
                 wdeg += var * exp
             return (wdeg, tuple(vec))
 
-        return sorted(self._terms.items(), key=key)
+        return [(m, _ordinary(m, c)) for m, c in sorted(self._terms.items(), key=key)]
 
     def pretty(self):
         if not self._terms:
@@ -270,6 +309,11 @@ class Polynomial:
         }
 
 
+def divided_powers(monomials):
+    """Sum of prod tj^mj / mj! over distinct canonical monomials, nothing checked."""
+    return Polynomial._raw(dict.fromkeys(monomials, 1))
+
+
 def as_polynomial(value):
     p = Polynomial._coerce(value)
     if p is None:
@@ -278,7 +322,7 @@ def as_polynomial(value):
 
 
 def shift2(p):
-    """Substitute tj -> t(2j) in every monomial."""
+    """Substitute tj -> t(2j) in every monomial; divided-power coefficients stay."""
     return Polynomial._raw(
         {tuple((2 * v, e) for v, e in mono): coeff for mono, coeff in p._terms.items()}
     )

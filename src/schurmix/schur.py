@@ -1,7 +1,10 @@
 """Complete pieces h_n, odd pieces q_n, S- and Q-polynomials, rectangles.
 
 h_n is the coefficient of z^n in exp(sum_k t_k z^k) and q_n the coefficient of
-z^n in exp(sum_k odd t_k z^k).  S-polynomials come from the h Jacobi-Trudi
+z^n in exp(sum_k odd t_k z^k).  Expanding the exponential term by term, h_n is
+the sum of prod tj^mj / mj! over every monomial of weighted degree n, and q_n
+the same sum over monomials in odd variables only; both are built directly as
+such sums of divided powers.  S-polynomials come from the h Jacobi-Trudi
 determinant in the smaller of its two orientations: a shape with fewer columns
 than rows is built from its conjugate, whose determinant has size lam_1 rather
 than len(lam), and mapped back by the involution omega (S_lam' = omega(S_lam),
@@ -13,34 +16,34 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partitions import Partition
-from .polyring import Polynomial, determinant, omega, pfaffian
+from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian
+
+
+def _monomials(n, top, step):
+    """Canonical monomials of weighted degree n in t1, t(1+step), t(1+2*step), ...
+    up to t_top; none for n < 0."""
+    if n == 0:
+        yield ()
+        return
+    # var is the largest variable of the monomial; smaller ones fill the rest.
+    for var in range(1, min(n, top) + 1, step):
+        for exp in range(1, n // var + 1):
+            for rest in _monomials(n - var * exp, var - step, step):
+                yield rest + ((var, exp),)
 
 
 @functools.cache
-def _newton(n, step):
-    """Coefficient of z^n in exp(sum of t_k z^k over k = 1, 1+step, 1+2*step, ...),
-    via the Newton style recurrence n*e_n = sum_k k*t_k*e_(n-k)."""
-    if n < 0:
-        return Polynomial.zero()
-    if n == 0:
-        return Polynomial.one()
-    total = Polynomial.zero()
-    for k in range(1, n + 1, step):
-        total = total + Polynomial.variable(k) * _newton(n - k, step) * k
-    return total * Fraction(1, n)
-
-
 def complete_h(n):
-    """h_n via the Newton style recurrence n*h_n = sum_k k*t_k*h_(n-k)."""
-    return _newton(n, 1)
+    """h_n: every monomial of weighted degree n as a divided power, 0 for n < 0."""
+    return divided_powers(_monomials(n, n, 1))
 
 
+@functools.cache
 def q_fun(n):
-    """q_n via n*q_n = sum over odd k of k*t_k*q_(n-k)."""
-    return _newton(n, 2)
+    """q_n: every monomial of weighted degree n in odd variables as a divided power."""
+    return divided_powers(_monomials(n, n, 2))
 
 
 @functools.cache

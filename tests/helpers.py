@@ -1,5 +1,6 @@
 """Shared test utilities: enumeration, random generators, independent oracles."""
 
+import functools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -184,3 +185,85 @@ def classical_schur_value(shape, xs):
 def power_sum_assignment(xs, top):
     """tj values p_j(xs)/j for j = 1..top."""
     return {j: Fraction(sum(Fraction(x) ** j for x in xs), j) for j in range(1, top + 1)}
+
+
+# Ordinary-basis reference arithmetic: plain {monomial: Fraction} dicts, built
+# without the divided-power basis, the binomial product rule or any Polynomial
+# method, to check Polynomial.terms against.
+
+
+def _ref_add_into(acc, mono, coeff):
+    total = acc.get(mono, 0) + coeff
+    if total:
+        acc[mono] = total
+    else:
+        acc.pop(mono, None)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for mono, coeff in b.items():
+        _ref_add_into(out, mono, coeff)
+    return out
+
+
+def ref_mul(a, b):
+    """Dict convolution: exponents add, coefficients multiply."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for var, exp in m2:
+                exps[var] = exps.get(var, 0) + exp
+            _ref_add_into(out, tuple(sorted(exps.items())), Fraction(c1) * c2)
+    return out
+
+
+def ref_shift2(a):
+    return {tuple((2 * var, exp) for var, exp in mono): coeff for mono, coeff in a.items()}
+
+
+def ref_omega(a):
+    """tj -> (-1)^(j+1) tj applied variable by variable."""
+    out = {}
+    for mono, coeff in a.items():
+        for var, exp in mono:
+            if var % 2 == 0:
+                coeff *= (-1) ** exp
+        out[mono] = coeff
+    return out
+
+
+@functools.cache
+def ref_newton(n, step):
+    """Coefficient of z^n in exp(sum of t_k z^k over k = 1, 1+step, ...), from the
+    recurrence n*e_n = sum_k k*t_k*e_(n-k), e_0 = 1, in the ordinary basis."""
+    if n < 0:
+        return {}
+    if n == 0:
+        return {(): Fraction(1)}
+    total = {}
+    for k in range(1, n + 1, step):
+        for mono, coeff in ref_mul({((k, 1),): Fraction(k, n)}, ref_newton(n - k, step)).items():
+            _ref_add_into(total, mono, coeff)
+    return total
+
+
+@functools.cache
+def character(parts, rho):
+    """Irreducible character chi^parts at the cycle type rho (any order), by the
+    Murnaghan-Nakayama rule on beta-sets: removing a k-rim hook moves a bead
+    from b to an empty b - k, with sign (-1)^(beads strictly between)."""
+    if not rho:
+        return 1 if not parts else 0
+    k, rest = rho[0], rho[1:]
+    size = len(parts)
+    beta = {p + size - 1 - i for i, p in enumerate(parts)}
+    total = 0
+    for b in beta:
+        if b - k >= 0 and b - k not in beta:
+            between = sum(1 for c in beta if b - k < c < b)
+            moved = sorted((beta - {b}) | {b - k}, reverse=True)
+            smaller = tuple(c - (size - 1 - i) for i, c in enumerate(moved))
+            total += (-1) ** between * character(tuple(p for p in smaller if p), rest)
+    return total

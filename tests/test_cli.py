@@ -221,6 +221,32 @@ def test_oversized_input_is_usage_error(capsys, monkeypatch):
         assert err.startswith("error:") and f"limit of {cli.MAX_WEIGHT}" in err, argv
 
 
+def test_oversized_core_and_enumerate_are_usage_errors(capsys, monkeypatch):
+    for name in ("bar_core", "add_set"):
+        monkeypatch.setattr(cli, name, _refuse_to_build)
+    oversized = [
+        (["core", "3000000"], cli.MAX_CORE_INDEX),
+        (["core", "-1001"], cli.MAX_CORE_INDEX),
+        (["enumerate", "--core", "30", "--ell", "20"], cli.MAX_ENUMERATE_CORE),
+        (["enumerate", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
+        (["enumerate", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
+    ]
+    for argv, limit in oversized:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {limit}" in err, argv
+
+
+def test_core_and_enumerate_limits_lose_no_result(capsys):
+    code, out, _ = run_cli(capsys, "core", str(-cli.MAX_CORE_INDEX))
+    assert code == 0 and len(out.split(",")) == cli.MAX_CORE_INDEX
+    # the largest admitted core still has a result at the largest admitted ell
+    core, ell = -cli.MAX_ENUMERATE_CORE, cli.MAX_ENUMERATE_ELL
+    code, out, _ = run_cli(capsys, "enumerate", "--core", str(core), "--ell", str(ell))
+    assert code == 0 and len(out.splitlines()) == 1
+
+
 def test_weight_limit_admits_benchmark_calls(capsys, monkeypatch):
     def fake_verify(case, m, n):
         zero = Polynomial.zero()

@@ -25,6 +25,14 @@ def test_partition_validation():
         Partition((3, 0))
     with pytest.raises(ValueError):
         StrictPartition((3, 3))
+    # parts are int, never truncated or parsed
+    for parts in ((2.7, 1), (3, 1.0), ("3", "1"), (True,), (2, False)):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    with pytest.raises(TypeError):
+        StrictPartition((3.9, 1))
+    assert Partition.from_text("3,1").parts == (3, 1)
+    assert Partition((3, 1)).conjugate().parts == (2, 1, 1)
 
 
 def test_partition_basics():

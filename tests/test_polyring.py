@@ -23,6 +23,10 @@ from helpers import (
     polynomials,
     random_poly,
     random_skew_matrix,
+    ref_add,
+    ref_mul,
+    ref_omega,
+    ref_shift2,
     strict_partitions_of,
 )
 
@@ -130,6 +134,19 @@ def test_omega_is_a_ring_involution(a, b):
     assert omega(omega(a)) == a
     assert omega(a * b) == omega(a) * omega(b)
     assert omega(a + b) == omega(a) + omega(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), polynomials())
+def test_arithmetic_matches_ordinary_basis_reference(a, b):
+    # the divided-power product rule and the basis conversions against plain
+    # ordinary-basis dict arithmetic on .terms
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert Polynomial(ta).terms == ta
+    assert (a * b).terms == ref_mul(ta, tb)
+    assert (a + b).terms == ref_add(ta, tb)
+    assert shift2(a).terms == ref_shift2(ta)
+    assert omega(a).terms == ref_omega(ta)
 
 
 def test_omega_maps_h_to_e():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,12 @@ from schurmix.schur import (
 )
 
 from helpers import (
+    character,
     classical_schur_value,
     partitions_of,
     power_sum_assignment,
+    ref_mul,
+    ref_newton,
     strict_partitions_of,
 )
 
@@ -40,6 +44,38 @@ def test_q_fun_values():
     assert q_fun(2) == t(1) ** 2 * Fraction(1, 2)
     assert q_fun(3) == t(1) ** 3 * Fraction(1, 6) + t(3)
     assert q_fun(-1).is_zero
+
+
+def test_h_and_q_match_newton_recurrence():
+    for n in range(-1, 13):
+        assert complete_h(n).terms == ref_newton(n, 1)
+        assert q_fun(n).terms == ref_newton(n, 2)
+    # products of the directly built pieces, against dict convolution
+    for a in range(7):
+        for b in range(7 - a):
+            got = (complete_h(a) * complete_h(b)).terms
+            assert got == ref_mul(ref_newton(a, 1), ref_newton(b, 1))
+            got = (q_fun(a) * q_fun(b)).terms
+            assert got == ref_mul(ref_newton(a, 2), ref_newton(b, 2))
+
+
+def test_divided_power_coefficients_are_int():
+    # In the basis prod tj^mj / mj! the coefficient of S_lam at the monomial
+    # of cycle type rho is the character value chi^lam(rho) (Macdonald I.7);
+    # Q_lam has int coefficients there too (Macdonald III.8).
+    for weight in range(11):
+        for parts in partitions_of(weight):
+            coeffs = schur_s(Partition(parts))._terms
+            assert all(type(c) is int for c in coeffs.values())
+            expected = {}
+            for rho in partitions_of(weight):
+                chi = character(parts, rho)
+                if chi:
+                    expected[tuple(sorted(Counter(rho).items()))] = chi
+            assert coeffs == expected
+        for parts in strict_partitions_of(weight):
+            coeffs = schur_q(StrictPartition(parts))._terms
+            assert all(type(c) is int for c in coeffs.values())
 
 
 def test_q_fun_uses_only_odd_variables():
