@@ -7,9 +7,9 @@ Commands that build S- or Q-polynomials refuse, with exit 2, any input whose
 weight exceeds MAX_WEIGHT, before building anything: the partition's weight
 for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
 the largest rectangle of the sweep for verify-all.  In the same way core
-refuses a core index beyond MAX_CORE_INDEX, and enumerate a core index beyond
-MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.  Library calls have
-no limit.
+refuses a core index beyond MAX_CORE_INDEX, and enumerate and fock-check a
+core index beyond MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.
+Library calls have no limit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ MAX_CORE_INDEX = 1000
 # 143365 in 3 s for core -12 and 414584 in 10 s for core -13.  A core with
 # index m takes at most 2|m| + 1 nodes of its color, so no larger ell has a
 # result, while a huge ell still costs time and memory.
+# fock-check prints the same addition set twice, with a coefficient each, so
+# it shares these limits; its slowest admitted inputs, core -10 at ell 11 to
+# 13, take about 2 s each on the same host.
 MAX_ENUMERATE_CORE = 10
 MAX_ENUMERATE_ELL = 2 * MAX_ENUMERATE_CORE + 1
 
@@ -135,10 +138,16 @@ def cmd_inverse(ns):
     return 0
 
 
-def cmd_enumerate(ns):
+def _check_addition_set(ns):
+    """Case of an enumerate or fock-check call, refusing an oversized core or --ell."""
     case, _ = _resolve_case(ns.case, ns.core, None)
     _check_limit(f"core index {ns.core}", abs(ns.core), MAX_ENUMERATE_CORE)
     _check_limit(f"--ell {ns.ell}", ns.ell, MAX_ENUMERATE_ELL)
+    return case
+
+
+def cmd_enumerate(ns):
+    case = _check_addition_set(ns)
     color = 1 if case == "one" else 0
     for mu in add_set(bar_core(ns.core), color, ns.ell):
         print(mu.to_text())
@@ -252,7 +261,7 @@ def cmd_verify_all(ns):
 
 
 def cmd_fock_check(ns):
-    case, _ = _resolve_case(ns.case, ns.core, None)
+    case = _check_addition_set(ns)
     color = 1 if case == "one" else 0
     left, right = lemma_co_sides(color, ns.core, ns.ell)
     print(f"case: {case}")

@@ -12,6 +12,17 @@ bundle the elementary ones by column color and carry a factor sqrt 2:
 Applying the color i operator ell times to a core state and dividing by ell!
 spreads the state over the color i addition set with sqrt 2 powers as
 coefficients; :func:`lemma_co_check` verifies that expansion exactly.
+
+:func:`lemma_co_sides` computes the divided power on integer path counts, not
+by applying :func:`f_chev` ell times.  Every index 0 step adds one row, so a
+path from the core to lam takes exactly r = len(lam) - len(core) of them, and
+only those steps carry a weight.  Counting each index 0 step as 1 (odd length)
+or 2 (even length) makes N(lam), the weighted number of paths, an int, and
+
+    f_i^ell / ell! |core> = sum over lam of sqrt2^ell * N(lam) / (ell! * 2^r) |lam>.
+
+f_inf and f_chev apply the operators step by step, the reference the tests
+hold the path counts to.
 """
 
 from __future__ import annotations
@@ -220,6 +231,33 @@ def a_count(lam):
     return sum(1 for p in lam.parts if p % 2 == 0) + (len(lam.parts) % 2)
 
 
+def _path_counts(i, core, ell):
+    """{parts: N} over the states ell color i steps away from the parts tuple core.
+
+    N counts the paths of elementary steps, each index 0 step counted as 1 from
+    an odd length state and 2 from an even one, so N / 2^r is the sum of the
+    path weights when the path adds r rows.
+    """
+    residues = (0, 3) if i == 0 else (1, 2)
+    states = {core: 1}
+    for _ in range(ell):
+        nxt = {}
+        for parts, count in states.items():
+            prev = 0
+            for j, p in enumerate(parts):
+                # parts strictly decrease, so p + 1 is present only as parts[j - 1]
+                if p % 4 in residues and prev != p + 1:
+                    key = parts[:j] + (p + 1,) + parts[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + count
+                prev = p
+            # prev is now the smallest part, or 0 for the empty state
+            if i == 0 and prev != 1:
+                key = parts + (1,)
+                nxt[key] = nxt.get(key, 0) + (count if len(parts) % 2 else 2 * count)
+        states = nxt
+    return states
+
+
 def lemma_co_sides(i, core_index, ell):
     """Divided power side and weighted sum side of the core expansion."""
     if i not in (0, 1):
@@ -231,10 +269,13 @@ def lemma_co_sides(i, core_index, ell):
     if i == 0 and core_index > 0:
         raise ValueError("color 0 requires a core index <= 0")
     core = bar_core(core_index)
-    left = FockVector.basis(core)
-    for _ in range(ell):
-        left = f_chev(i, left)
-    left = left.scale(Fraction(1, factorial(ell)))
+    half, odd = divmod(ell, 2)
+    denominator = factorial(ell)
+    left = FockVector()
+    for parts, count in _path_counts(i, core.parts, ell).items():
+        scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
+        coeff = Sqrt2Scalar(0, scale) if odd else Sqrt2Scalar(scale)
+        left.entries[StrictPartition(parts)] = coeff
     eps = core_index % 2
     right = FockVector(
         (lam, Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)) for lam in add_set(core, i, ell)

@@ -112,8 +112,11 @@ def add_set(lam, i, ell):
         raise ValueError(f"color must be 0 or 1, got {i}")
     if ell < 0:
         raise ValueError(f"node count must be non-negative, got {ell}")
-    # Fresh rows are interchangeable, so ell extra zero rows always suffice.
-    bases = lam.parts + (0,) * ell
+    # Column colors run 0, 1, 1, 0, 0, 1, 1, ...: a row gains at most two
+    # nodes of one color, and only color 0 opens a new row, of length 1.
+    if ell > 2 * len(lam.parts) + 1:
+        return []
+    bases = lam.parts + (0,) * min(ell, 1)
     found = set()
 
     def grow(row, prev, budget, acc):

@@ -14,7 +14,8 @@ plain int coefficients, so determinants and Pfaffians run on ints.  Fractions
 appear only at the boundary: caller-supplied coefficients are converted on the
 way in (and stay Fractions when not integral), and Polynomial.terms, eval,
 sorted_terms, pretty and to_json_obj give ordinary-basis Fractions.
-Polynomial.terms is a read-only {monomial: Fraction} map built on each read.
+Polynomial.terms is a read-only {monomial: Fraction} view that converts one
+coefficient per lookup.
 
 Variable tj carries weight j, so t1^2*t3 has weighted degree 5.  Terms are
 kept in a canonical order: ascending weighted degree, ties broken by the
@@ -26,9 +27,9 @@ order drives the pretty printer and the JSON form
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
-from types import MappingProxyType
 
 
 def _monomial(spec):
@@ -130,6 +131,34 @@ def accumulate(acc, items, sign=1):
     return acc
 
 
+class _OrdinaryTerms(Mapping):
+    """Read-only {monomial: Fraction} view of divided-power terms.
+
+    len, membership and iteration read the stored dict directly; a lookup
+    converts the one coefficient it returns.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms):
+        self._terms = terms
+
+    def __getitem__(self, mono):
+        return _ordinary(mono, self._terms[mono])
+
+    def __contains__(self, mono):
+        return mono in self._terms
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class Polynomial:
     """Finite rational-weighted sum of monomials.  Immutable: terms is read-only."""
 
@@ -152,7 +181,7 @@ class Polynomial:
     @property
     def terms(self):
         """Read-only {monomial: Fraction} map of the ordinary-basis coefficients."""
-        return MappingProxyType({m: _ordinary(m, c) for m, c in self._terms.items()})
+        return _OrdinaryTerms(self._terms)
 
     @classmethod
     def zero(cls):

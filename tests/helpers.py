@@ -72,6 +72,12 @@ def polynomials(max_terms=4, max_var=4, max_exp=3):
     return st.lists(st.tuples(mono, coeff), max_size=max_terms).map(Polynomial)
 
 
+def strict_parts(max_part=12, max_len=5):
+    """Hypothesis strategy for strict partitions as decreasing tuples."""
+    values = st.sets(st.integers(1, max_part), max_size=max_len)
+    return values.map(lambda parts: tuple(sorted(parts, reverse=True)))
+
+
 def random_skew_matrix(rng, size):
     mat = [[Polynomial.zero() for _ in range(size)] for _ in range(size)]
     for i in range(size):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from schurmix.barquot import (
     abacus,
@@ -11,7 +12,7 @@ from schurmix.barquot import (
 )
 from schurmix.partitions import Partition, StrictPartition, bar_core
 
-from helpers import random_strict_parts, random_weak_parts
+from helpers import random_strict_parts, random_weak_parts, strict_parts
 
 
 def test_quotient_worked_example():
@@ -60,6 +61,14 @@ def test_inverse_worked_example():
 def test_inverse_of_trivial_data_gives_cores():
     for m in range(-6, 7):
         assert inverse_quotient(m, StrictPartition(), Partition()) == bar_core(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strict_parts(max_part=40, max_len=9))
+def test_quotient_round_trip_property(parts):
+    mu = StrictPartition(parts)
+    tri = quotient(mu)
+    assert inverse_quotient(tri.charge, tri.q0, tri.q1) == mu
 
 
 def test_round_trip_random():

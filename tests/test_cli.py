@@ -238,6 +238,22 @@ def test_oversized_core_and_enumerate_are_usage_errors(capsys, monkeypatch):
         assert err.startswith("error:") and f"limit of {limit}" in err, argv
 
 
+def test_oversized_fock_check_is_a_usage_error(capsys, monkeypatch):
+    for name in ("bar_core", "add_set", "lemma_co_sides"):
+        monkeypatch.setattr(cli, name, _refuse_to_build)
+    oversized = [
+        (["fock-check", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
+        (["fock-check", "--core", "30", "--ell", "0"], cli.MAX_ENUMERATE_CORE),
+        (["fock-check", "--core", "-10", "--ell", "22"], cli.MAX_ENUMERATE_ELL),
+        (["fock-check", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
+    ]
+    for argv, limit in oversized:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {limit}" in err, argv
+
+
 def test_core_and_enumerate_limits_lose_no_result(capsys):
     code, out, _ = run_cli(capsys, "core", str(-cli.MAX_CORE_INDEX))
     assert code == 0 and len(out.split(",")) == cli.MAX_CORE_INDEX

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -170,3 +171,22 @@ def test_support_equals_add_set():
                 left, _ = lemma_co_sides(i, core_index, ell)
                 expected = {mu.parts for mu in add_set(bar_core(core_index), i, ell)}
                 assert {lam.parts for lam in left.support()} == expected
+
+
+def test_path_counts_match_f_chev_oracle():
+    # The step-by-step f_chev expansion, divided by ell!, is the reference for
+    # the path-count divided power side, coefficient by coefficient.
+    for core_index in range(-4, 5):
+        colors = (0, 1) if core_index == 0 else ((1,) if core_index > 0 else (0,))
+        for i in colors:
+            window = 2 * abs(core_index) + (1 if i == 0 else 0)
+            expected = FockVector.basis(bar_core(core_index))
+            for ell in range(window + 2):
+                if ell:
+                    expected = f_chev(i, expected)
+                oracle = expected.scale(Fraction(1, factorial(ell)))
+                left, right = lemma_co_sides(i, core_index, ell)
+                assert left == oracle, (i, core_index, ell)
+                shown = [(lam.parts, str(c)) for lam, c in left.items()]
+                assert shown == [(lam.parts, str(c)) for lam, c in oracle.items()]
+                assert left == right

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schurmix import partitions
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core, color
 
-from helpers import closure_oracle
+from helpers import closure_oracle, strict_parts
 
 
 def test_color_period():
@@ -144,6 +147,31 @@ def test_add_set_matches_single_step_closure():
             for ell in range(5):
                 got = {mu.parts for mu in add_set(lam, i, ell)}
                 assert got == closure_oracle(parts, i, ell)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strict_parts(), st.sampled_from((0, 1)), st.data())
+def test_add_set_matches_closure_on_random_partitions(parts, i, data):
+    # ell runs past 2 * len + 1, the most nodes of one color parts can take
+    ell = data.draw(st.integers(0, 2 * len(parts) + 3), label="ell")
+    got = {mu.parts for mu in add_set(StrictPartition(parts), i, ell)}
+    assert got == closure_oracle(parts, i, ell)
+
+
+def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
+    # at the bound a core still has exactly one result
+    small = bar_core(-4)
+    assert len(add_set(small, 0, 2 * len(small) + 1)) == 1
+    core = bar_core(-12)
+
+    def no_search(j):
+        raise AssertionError("add_set searched past its bound")
+
+    monkeypatch.setattr(partitions, "color", no_search)
+    for ell in (2 * len(core) + 2, 100, 10**12):
+        assert add_set(core, 0, ell) == []
+        assert add_set(core, 1, ell) == []
+    assert add_set(StrictPartition(), 0, 2) == []
 
 
 def test_add_set_rejects_bad_arguments():

@@ -1,10 +1,13 @@
 import json
 import random
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 
+from schurmix import polyring
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import (
     Polynomial,
@@ -291,3 +294,41 @@ def test_pfaffian_squares_to_determinant():
             mat = random_skew_matrix(rng, size)
             pf = pfaffian(mat)
             assert pf * pf == determinant(mat)
+
+
+def test_terms_is_a_lazy_read_only_view(monkeypatch):
+    p = schur_s(Partition((3, 2)))
+    stored = dict(p._terms)
+    ordinary = {m: Fraction(c, prod(factorial(e) for _, e in m)) for m, c in stored.items()}
+    terms = p.terms
+    assert terms == ordinary and ordinary == terms
+    assert dict(terms) == ordinary
+    assert isinstance(terms, Mapping) and not isinstance(terms, MutableMapping)
+
+    conversions = []
+    real = polyring._ordinary
+
+    def counting(mono, coeff):
+        conversions.append(mono)
+        return real(mono, coeff)
+
+    monkeypatch.setattr(polyring, "_ordinary", counting)
+    mono = next(iter(stored))
+    assert len(terms) == len(stored)
+    assert mono in terms and ((99, 1),) not in terms
+    assert list(terms) == list(stored)
+    assert conversions == []
+    assert terms[mono] == ordinary[mono]
+    assert conversions == [mono]
+    assert terms.get(((99, 1),)) is None
+    with pytest.raises(KeyError):
+        terms[((99, 1),)]
+
+    for name in ("clear", "pop", "popitem", "setdefault", "update"):
+        assert not hasattr(terms, name)
+    with pytest.raises(TypeError):
+        terms[mono] = 1
+    with pytest.raises(TypeError):
+        del terms[mono]
+    assert p._terms == stored
+    assert schur_s(Partition((3, 2))).terms == ordinary
