@@ -9,7 +9,7 @@ for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
 the largest rectangle of the sweep for verify-all.  In the same way core
 refuses a core index beyond MAX_CORE_INDEX, and enumerate and fock-check a
 core index beyond MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.
-Library calls have no limit.
+Library calls have no limit but polyring's slot guard (weight below 256).
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host weight 36 takes about 8 s (schur-s 36) to 9 s (verify
-# of the 6x6 rectangle), and weight 42 about 40 s: the cost grows with the
-# number of partitions of the weight.  The README examples and the benchmark's
-# calls all have weight 32 or less.
-MAX_WEIGHT = 36
+# On a 2-vCPU Xeon host weight 42 takes about 3 s (schur-s of a shape such as
+# 8,7,7,6,5,4,3,2) to 5 s (verify of the 6x7 rectangle), and verify-all
+# --max-m 6, whose largest rectangle is that 6x7, about 8 s: the cost
+# grows with the number of partitions of the weight.  The README examples and
+# the benchmark's calls all have weight 32 or less.
+MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line.
 MAX_CORE_INDEX = 1000

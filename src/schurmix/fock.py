@@ -276,10 +276,12 @@ def lemma_co_sides(i, core_index, ell):
         scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
         coeff = Sqrt2Scalar(0, scale) if odd else Sqrt2Scalar(scale)
         left.entries[StrictPartition(parts)] = coeff
+    # add_set yields distinct states and a power of sqrt 2 is never 0, so the
+    # entries go in as they are, without FockVector's coercion.
     eps = core_index % 2
-    right = FockVector(
-        (lam, Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)) for lam in add_set(core, i, ell)
-    )
+    right = FockVector()
+    for lam in add_set(core, i, ell):
+        right.entries[lam] = Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)
     return left, right
 
 

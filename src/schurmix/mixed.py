@@ -71,15 +71,19 @@ def lhs(case, m, n):
     color = 1 if case == "one" else 0
     core_index = core_index_for(case, m)
     core = bar_core(core_index)
-    total = Polynomial.zero()
     terms = []
     for mu in add_set(core, color, n):
         tri = quotient(mu)
         sign = delta_sign(mu, core_index)
         value = schur_q(tri.q0) * shift2(schur_s(tri.q1)) * sign
         terms.append(ExpansionTerm(mu, sign, tri.q0, tri.q1, value))
-        total = total + value
-    return total, terms
+    # Summands are added in pairs, round by round: a running total would copy
+    # its growing dict once per summand, so the sum would cost quadratic time.
+    values = [term.value for term in terms] or [Polynomial.zero()]
+    while len(values) > 1:
+        odd = values[len(values) - len(values) % 2 :]
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd
+    return values[0], terms
 
 
 def rhs(case, m, n):

@@ -1,24 +1,33 @@
 """Sparse multivariate polynomials over exact rationals in t1, t2, t3, ...
 
-A monomial is a tuple of (var, exp) pairs, ascending in var, with every
-exp > 0; () is the monomial 1.  Polynomial(...) and Polynomial.variable check
-the monomials and coefficients given to them; products, sums, shift2 and omega
-build canonical tuples directly and check nothing.
+Variable tj carries weight j, so t1^2*t3 has weight (weighted degree) 5.  At
+the boundary a monomial is a tuple of (var, exp) pairs, ascending in var, with
+every exp > 0; () is the monomial 1.  Polynomial(...), Polynomial.constant and
+Polynomial.variable take such monomials with int or Fraction coefficients and
+check them; Polynomial.terms, eval, sorted_terms, pretty and to_json_obj give
+them back with ordinary-basis Fractions.  Polynomial.terms is a read-only
+{monomial: Fraction} view that converts one coefficient per lookup.
 
-Internally a polynomial is stored in the divided-power basis: the coefficient
-kept for a monomial is the coefficient of prod tj^mj / mj!, that is, the
-ordinary coefficient times prod mj!.  In this basis a product of monomials is
-t^(a) * t^(b) = prod_j binom(aj + bj, aj) * t^(a+b), shift2 and omega leave the
-coefficients as they are, and h_n, q_n and every S- and Q-polynomial have
-plain int coefficients, so determinants and Pfaffians run on ints.  Fractions
-appear only at the boundary: caller-supplied coefficients are converted on the
-way in (and stay Fractions when not integral), and Polynomial.terms, eval,
-sorted_terms, pretty and to_json_obj give ordinary-basis Fractions.
-Polynomial.terms is a read-only {monomial: Fraction} view that converts one
-coefficient per lookup.
+Inside, a monomial is one int, its packed exponent vector: the key of
+prod tj^mj is sum mj << (SLOT_BITS * (j - 1)), one byte per variable with t1 in
+the lowest.  The key of a product of monomials is the sum of their keys.  An
+exponent never exceeds the weight of its term, so no slot overflows while the
+weight stays below 2**SLOT_BITS; packing a term of larger weight, by
+construction, product or shift2, raises ValueError.  The CLI stops far below
+that bound.
 
-Variable tj carries weight j, so t1^2*t3 has weighted degree 5.  Terms are
-kept in a canonical order: ascending weighted degree, ties broken by the
+A polynomial is held as its homogeneous pieces, {weight w: {key: c}}, with
+each coefficient scaled by the weight: c is the ordinary coefficient times w!.
+Every coefficient of h_n, q_n and each S- and Q-polynomial is an int in this
+basis, because their ordinary coefficients have denominators dividing
+prod mj!, which divides w!.  A product of a weight-a piece and a weight-b
+piece then multiplies every pair of coefficients by the one scalar
+binom(a + b, a) and adds their keys.  shift2 moves slot j to slot 2j and
+multiplies each coefficient by (2w)!/w!; omega flips the sign of a
+coefficient when the exponents of the even variables have an odd sum.  Caller
+Fractions that do not become integral after scaling stay Fractions.
+
+Terms are kept in a canonical order: ascending weight, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  The same
 order drives the pretty printer and the JSON form
 
@@ -29,7 +38,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
+
+# Bits per exponent slot: one byte, so to_bytes reads the exponent vector.
+SLOT_BITS = 8
+WEIGHT_LIMIT = 1 << SLOT_BITS
+# Bit 0 of the slot of each even variable t2, t4, ..., t(WEIGHT_LIMIT).
+_EVEN_LOW_BITS = int.from_bytes(b"\0\1" * (WEIGHT_LIMIT // 2), "little")
 
 
 def _monomial(spec):
@@ -57,48 +72,38 @@ def _monomial(spec):
     return tuple(pairs)
 
 
-def _mono_mul(m1, m2):
-    """Product of two canonical divided-power monomials; nothing is checked.
-
-    Returns the canonical monomial a+b and the int factor prod binom(aj + bj, aj)
-    over the variables m1 and m2 share, so that t^(a) * t^(b) = factor * t^(a+b).
-    """
-    d = dict(m1)
-    factor = 1
-    for var, exp in m2:
-        old = d.get(var)
-        if old:
-            exp += old
-            factor *= comb(exp, old)
-        d[var] = exp
-    return tuple(sorted(d.items())), factor
+def _check_weight(w):
+    """w, or ValueError when a term of weight w could overflow an exponent slot."""
+    if w >= WEIGHT_LIMIT:
+        raise ValueError(f"a term of weight {w} does not fit: weights must stay below {WEIGHT_LIMIT}")
+    return w
 
 
-def _products(left, right):
-    """(monomial, coefficient) of every pairwise term product of two divided-power term maps."""
-    right = right.items()
-    for m1, c1 in left.items():
-        for m2, c2 in right:
-            mono, factor = _mono_mul(m1, m2)
-            yield mono, c1 * c2 * factor
+def _key(mono):
+    """Packed key of a canonical monomial whose exponents fit a slot."""
+    return sum(exp << (SLOT_BITS * (var - 1)) for var, exp in mono)
 
 
-def _factorials(mono):
-    """prod mj! over the monomial: the ratio of its divided-power to its ordinary coefficient."""
-    out = 1
-    for _, exp in mono:
-        out *= factorial(exp)
-    return out
+def _pack(mono):
+    """(weight, key) of a canonical monomial, checked against the slot guard first."""
+    return _check_weight(sum(var * exp for var, exp in mono)), _key(mono)
 
 
-def _exact(c):
-    """c as an int when it is integral, else unchanged."""
+def _unpack(key):
+    """Canonical monomial of a packed key."""
+    slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return tuple((var, exp) for var, exp in enumerate(slots, 1) if exp)
+
+
+def _scaled(coeff, w):
+    """Stored coefficient of an ordinary int or Fraction coefficient at weight w."""
+    c = as_fraction(coeff) * factorial(w)
     return c.numerator if c.denominator == 1 else c
 
 
-def _ordinary(mono, coeff):
-    """Ordinary-basis Fraction coefficient of a divided-power term."""
-    return Fraction(coeff, _factorials(mono))
+def _ordinary(w, coeff):
+    """Ordinary-basis Fraction of a stored coefficient at weight w."""
+    return Fraction(coeff, factorial(w))
 
 
 def _mono_str(mono):
@@ -131,11 +136,50 @@ def accumulate(acc, items, sign=1):
     return acc
 
 
-class _OrdinaryTerms(Mapping):
-    """Read-only {monomial: Fraction} view of divided-power terms.
+def _add_into(acc, terms, sign=1):
+    """Add sign * terms into the pieces of acc, which acc owns; zeros and
+    empty pieces are dropped as they arise."""
+    for w, piece in terms.items():
+        old = acc.get(w)
+        if old is None:
+            acc[w] = dict(piece) if sign > 0 else {k: -c for k, c in piece.items()}
+        elif not accumulate(old, piece.items(), sign):
+            del acc[w]
+    return acc
 
-    len, membership and iteration read the stored dict directly; a lookup
-    converts the one coefficient it returns.
+
+def _mul_into(acc, left, right, sign=1):
+    """Add sign * left * right into the pieces of acc; zeros stay until _pruned."""
+    for a, p in left.items():
+        for b, q in right.items():
+            w = _check_weight(a + b)
+            scale = sign * comb(w, a)
+            out = acc.setdefault(w, {})
+            get = out.get
+            q = q.items()
+            for k1, c1 in p.items():
+                c1 *= scale
+                for k2, c2 in q:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _pruned(acc):
+    """acc with its zero coefficients and empty pieces deleted in place."""
+    for w, piece in list(acc.items()):
+        for k in [k for k, c in piece.items() if not c]:
+            del piece[k]
+        if not piece:
+            del acc[w]
+    return acc
+
+
+class _OrdinaryTerms(Mapping):
+    """Read-only {monomial: Fraction} view of weight-scaled packed terms.
+
+    len and membership convert no coefficient, iteration unpacks keys only,
+    and a lookup converts the one coefficient it returns.
     """
 
     __slots__ = ("_terms",)
@@ -143,17 +187,34 @@ class _OrdinaryTerms(Mapping):
     def __init__(self, terms):
         self._terms = terms
 
+    def _stored(self, mono):
+        """(weight, stored coefficient) of mono; KeyError when it has no term."""
+        try:
+            w, key = _pack(mono)
+            coeff = self._terms[w][key]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(mono) from None
+        if _unpack(key) != mono:
+            raise KeyError(mono)
+        return w, coeff
+
     def __getitem__(self, mono):
-        return _ordinary(mono, self._terms[mono])
+        return _ordinary(*self._stored(mono))
 
     def __contains__(self, mono):
-        return mono in self._terms
+        try:
+            self._stored(mono)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self):
-        return iter(self._terms)
+        for piece in self._terms.values():
+            for key in piece:
+                yield _unpack(key)
 
     def __len__(self):
-        return len(self._terms)
+        return sum(map(len, self._terms.values()))
 
     def __repr__(self):
         return repr(dict(self.items()))
@@ -168,9 +229,10 @@ class Polynomial:
         d = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            pairs = ((_monomial(mono), as_fraction(coeff)) for mono, coeff in items)
-            accumulate(d, ((m, _exact(c * _factorials(m))) for m, c in pairs))
-        self._terms = d
+            for mono, coeff in items:
+                w, key = _pack(_monomial(mono))
+                accumulate(d.setdefault(w, {}), ((key, _scaled(coeff, w)),))
+        self._terms = _pruned(d)
 
     @classmethod
     def _raw(cls, d):
@@ -193,12 +255,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        c = _exact(as_fraction(c))
-        return cls._raw({(): c} if c else {})
+        c = _scaled(c, 0)
+        return cls._raw({0: {0: c}} if c else {})
 
     @classmethod
     def variable(cls, j):
-        return cls._raw({_monomial(((j, 1),)): 1})
+        w, key = _pack(_monomial(((j, 1),)))
+        return cls._raw({w: {key: factorial(w)}})
 
     @property
     def is_zero(self):
@@ -212,6 +275,9 @@ class Polynomial:
             return Polynomial.constant(value)
         return None
 
+    def _copy_terms(self):
+        return {w: dict(piece) for w, piece in self._terms.items()}
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -222,18 +288,18 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(accumulate(dict(self._terms), other._terms.items()))
+        return Polynomial._raw(_add_into(self._copy_terms(), other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(accumulate(dict(self._terms), other._terms.items(), -1))
+        return Polynomial._raw(_add_into(self._copy_terms(), other._terms, -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -243,13 +309,14 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            if not c:
+            if not other:
                 return Polynomial.zero()
-            return Polynomial._raw({m: co * c for m, co in self._terms.items()})
+            return Polynomial._raw(
+                {w: {k: c * other for k, c in piece.items()} for w, piece in self._terms.items()}
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial._raw(accumulate({}, _products(self._terms, other._terms)))
+        return Polynomial._raw(_pruned(_mul_into({}, self._terms, other._terms)))
 
     __rmul__ = __mul__
 
@@ -261,13 +328,9 @@ class Polynomial:
             result = result * self
         return result
 
-    def weighted_degrees(self):
-        return {sum(var * exp for var, exp in mono) for mono in self._terms}
-
     def homogeneous_degree(self):
         """Common weighted degree of all terms, or None if mixed or zero."""
-        degs = self.weighted_degrees()
-        return degs.pop() if len(degs) == 1 else None
+        return next(iter(self._terms)) if len(self._terms) == 1 else None
 
     def eval(self, assignment):
         """Exact value with tj = assignment[j]; every variable must be covered.
@@ -276,32 +339,27 @@ class Polynomial:
         """
         values = {var: as_fraction(value) for var, value in assignment.items()}
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            value = _ordinary(mono, coeff)
-            for var, exp in mono:
-                if var not in values:
-                    raise ValueError(f"no value given for t{var}")
-                value *= values[var] ** exp
-            total += value
+        for w, piece in self._terms.items():
+            for key, coeff in piece.items():
+                value = _ordinary(w, coeff)
+                for var, exp in _unpack(key):
+                    if var not in values:
+                        raise ValueError(f"no value given for t{var}")
+                    value *= values[var] ** exp
+                total += value
         return total
 
     def sorted_terms(self):
         """(monomial, ordinary Fraction) pairs in the canonical order used for
         printing and serialization."""
-        if not self._terms:
-            return []
-        top = max((mono[-1][0] for mono in self._terms if mono), default=0)
-
-        def key(item):
-            mono = item[0]
-            vec = [0] * top
-            wdeg = 0
-            for var, exp in mono:
-                vec[var - 1] = -exp
-                wdeg += var * exp
-            return (wdeg, tuple(vec))
-
-        return [(m, _ordinary(m, c)) for m, c in sorted(self._terms.items(), key=key)]
+        out = []
+        for w in sorted(self._terms):
+            piece = self._terms[w]
+            # A weight-w key has no variable above tw, so w bytes hold its
+            # exponent vector, t1 first.
+            for key in sorted(piece, key=lambda k: k.to_bytes(w, "little"), reverse=True):
+                out.append((_unpack(key), _ordinary(w, piece[key])))
+        return out
 
     def pretty(self):
         if not self._terms:
@@ -338,9 +396,30 @@ class Polynomial:
         }
 
 
-def divided_powers(monomials):
-    """Sum of prod tj^mj / mj! over distinct canonical monomials, nothing checked."""
-    return Polynomial._raw(dict.fromkeys(monomials, 1))
+def _monomials(n, top, step):
+    """(packed key, prod mj!) of every monomial prod tj^mj of weight n in t1,
+    t(1+step), t(1+2*step), ... up to t_top; none for n < 0."""
+    if n == 0:
+        yield 0, 1
+        return
+    # var is the largest variable of the monomial; smaller ones fill the rest.
+    for var in range(1, min(n, top) + 1, step):
+        shift = SLOT_BITS * (var - 1)
+        for exp in range(1, n // var + 1):
+            head, fact = exp << shift, factorial(exp)
+            for rest, rest_fact in _monomials(n - var * exp, var - step, step):
+                yield rest + head, rest_fact * fact
+
+
+def divided_powers(weight, step):
+    """Sum of prod tj^mj / mj! over every monomial of the given weight in t1,
+    t(1+step), t(1+2*step), ...; 0 for a negative weight."""
+    if weight < 0:
+        return Polynomial.zero()
+    scale = factorial(_check_weight(weight))
+    return Polynomial._raw(
+        {weight: {key: scale // fact for key, fact in _monomials(weight, weight, step)}}
+    )
 
 
 def as_polynomial(value):
@@ -351,22 +430,30 @@ def as_polynomial(value):
 
 
 def shift2(p):
-    """Substitute tj -> t(2j) in every monomial; divided-power coefficients stay."""
-    return Polynomial._raw(
-        {tuple((2 * v, e) for v, e in mono): coeff for mono, coeff in p._terms.items()}
-    )
+    """Substitute tj -> t(2j): slot j moves to slot 2j and a weight-w
+    coefficient is multiplied by (2w)!/w!, since the weight doubles."""
+    out = {}
+    for w, piece in p._terms.items():
+        scale = perm(_check_weight(2 * w), w)
+        # every odd byte of wide is rewritten for each key; the even ones stay 0
+        wide = bytearray(2 * w)
+        shifted = out[2 * w] = {}
+        for key, coeff in piece.items():
+            wide[1::2] = key.to_bytes(w, "little")
+            shifted[int.from_bytes(wide, "little")] = coeff * scale
+    return Polynomial._raw(out)
 
 
 def omega(p):
     """Substitute tj -> (-1)^(j+1) tj: the involution that maps S_lam to S_lam'.
 
     A coefficient changes sign when the exponents of its even variables add up
-    to an odd number.
+    to an odd number, that is, when an odd number of them are odd.
     """
     return Polynomial._raw(
         {
-            mono: -coeff if sum(e for v, e in mono if not v & 1) & 1 else coeff
-            for mono, coeff in p._terms.items()
+            w: {k: -c if (k & _EVEN_LOW_BITS).bit_count() & 1 else c for k, c in piece.items()}
+            for w, piece in p._terms.items()
         }
     )
 
@@ -386,8 +473,8 @@ def _expand(n, pick):
             acc = {}
             for sign, entry, rest in pick(mask):
                 if entry._terms:
-                    accumulate(acc, (entry * minor(rest))._terms.items(), sign)
-            result = memo[mask] = Polynomial._raw(acc)
+                    _mul_into(acc, entry._terms, minor(rest)._terms, sign)
+            result = memo[mask] = Polynomial._raw(_pruned(acc))
         return result
 
     return minor((1 << n) - 1)

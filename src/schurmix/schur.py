@@ -21,29 +21,16 @@ from .partitions import Partition
 from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian
 
 
-def _monomials(n, top, step):
-    """Canonical monomials of weighted degree n in t1, t(1+step), t(1+2*step), ...
-    up to t_top; none for n < 0."""
-    if n == 0:
-        yield ()
-        return
-    # var is the largest variable of the monomial; smaller ones fill the rest.
-    for var in range(1, min(n, top) + 1, step):
-        for exp in range(1, n // var + 1):
-            for rest in _monomials(n - var * exp, var - step, step):
-                yield rest + ((var, exp),)
-
-
 @functools.cache
 def complete_h(n):
     """h_n: every monomial of weighted degree n as a divided power, 0 for n < 0."""
-    return divided_powers(_monomials(n, n, 1))
+    return divided_powers(n, 1)
 
 
 @functools.cache
 def q_fun(n):
     """q_n: every monomial of weighted degree n in odd variables as a divided power."""
-    return divided_powers(_monomials(n, n, 2))
+    return divided_powers(n, 2)
 
 
 @functools.cache

@@ -203,11 +203,11 @@ def _refuse_to_build(*args):
 
 OVERSIZED = [
     ["schur-s", "1500"],
-    ["schur-s", ",".join(["1"] * 37)],
-    ["schur-q", "30,7"],
-    ["expand", "--core", "-6", "--n", "6"],
+    ["schur-s", ",".join(["1"] * 43)],
+    ["schur-q", "30,13"],
+    ["expand", "--core", "22", "--n", "1"],
     ["verify", "--case", "one", "--m", "12", "--n", "6"],
-    ["verify-all", "--max-m", "6"],
+    ["verify-all", "--max-m", "7"],
 ]
 
 
@@ -274,6 +274,7 @@ def test_weight_limit_admits_benchmark_calls(capsys, monkeypatch):
     for case, m, n in (("zero", 5, 6), ("one", 6, 4), ("one", 6, 3)):
         assert run_cli(capsys, "verify", "--case", case, "--m", str(m), "--n", str(n))[0] == 0
     assert run_cli(capsys, "verify-all", "--max-m", "5")[0] == 0
+    assert run_cli(capsys, "verify-all", "--max-m", "6")[0] == 0
     assert run_cli(capsys, "schur-s", ",".join(["1"] * cli.MAX_WEIGHT))[0] == 0
 
 

@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schurmix import polyring
 from schurmix.partitions import Partition, StrictPartition
@@ -21,6 +23,7 @@ from schurmix.polyring import (
 from schurmix.schur import complete_h, schur_q, schur_s
 
 from helpers import (
+    character,
     partitions_of,
     pfaffian_by_matchings,
     polynomials,
@@ -298,8 +301,14 @@ def test_pfaffian_squares_to_determinant():
 
 def test_terms_is_a_lazy_read_only_view(monkeypatch):
     p = schur_s(Partition((3, 2)))
-    stored = dict(p._terms)
-    ordinary = {m: Fraction(c, prod(factorial(e) for _, e in m)) for m, c in stored.items()}
+    # S_lam has ordinary coefficient chi^lam(rho) / prod mj! at the monomial of
+    # cycle type rho (Macdonald I.7), which fixes the view without reading storage
+    ordinary = {}
+    for rho in partitions_of(5):
+        chi = character((3, 2), rho)
+        if chi:
+            mono = tuple(sorted(Counter(rho).items()))
+            ordinary[mono] = Fraction(chi, prod(factorial(e) for _, e in mono))
     terms = p.terms
     assert terms == ordinary and ordinary == terms
     assert dict(terms) == ordinary
@@ -308,18 +317,20 @@ def test_terms_is_a_lazy_read_only_view(monkeypatch):
     conversions = []
     real = polyring._ordinary
 
-    def counting(mono, coeff):
-        conversions.append(mono)
-        return real(mono, coeff)
+    def counting(weight, coeff):
+        conversions.append(coeff)
+        return real(weight, coeff)
 
     monkeypatch.setattr(polyring, "_ordinary", counting)
-    mono = next(iter(stored))
-    assert len(terms) == len(stored)
+    mono = ((1, 1), (2, 2))
+    assert len(terms) == len(ordinary)
     assert mono in terms and ((99, 1),) not in terms
-    assert list(terms) == list(stored)
+    # only the canonical spelling of a monomial is a key
+    assert ((2, 2), (1, 1)) not in terms and ((1, 1), (2, 2), (3, 0)) not in terms
+    assert sorted(terms) == sorted(ordinary) and len(list(terms)) == len(ordinary)
     assert conversions == []
     assert terms[mono] == ordinary[mono]
-    assert conversions == [mono]
+    assert len(conversions) == 1
     assert terms.get(((99, 1),)) is None
     with pytest.raises(KeyError):
         terms[((99, 1),)]
@@ -330,5 +341,76 @@ def test_terms_is_a_lazy_read_only_view(monkeypatch):
         terms[mono] = 1
     with pytest.raises(TypeError):
         del terms[mono]
-    assert p._terms == stored
+    assert dict(p.terms) == ordinary
     assert schur_s(Partition((3, 2))).terms == ordinary
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(1, 64), st.integers(1, polyring.WEIGHT_LIMIT - 1), max_size=8))
+@example({1: polyring.WEIGHT_LIMIT - 1})
+@example({j: polyring.WEIGHT_LIMIT - 1 for j in (1, 2, 3, 64)})
+def test_packed_keys_round_trip(exps):
+    # every exponent up to the slot maximum survives packing and unpacking
+    mono = _monomial(exps)
+    key = polyring._key(mono)
+    assert polyring._unpack(key) == mono
+    assert key.bit_length() <= polyring.SLOT_BITS * max(exps, default=0)
+
+
+def test_slot_guard_refuses_oversized_weights():
+    limit = polyring.WEIGHT_LIMIT
+    top = Polynomial([({1: limit - 1}, 1)])
+    assert top.terms == {((1, limit - 1),): 1}
+    assert Polynomial.variable(limit - 1).homogeneous_degree() == limit - 1
+    for spec in ({1: limit}, {2: limit // 2}, {limit: 1}, {1: 1, limit - 1: 1}):
+        with pytest.raises(ValueError):
+            Polynomial([(spec, 1)])
+    with pytest.raises(ValueError):
+        Polynomial.variable(limit)
+    # a product or shift2 that reaches the limit raises rather than carrying
+    # t1^limit into the slot of t2
+    with pytest.raises(ValueError):
+        top * t(1)
+    half = Polynomial([({1: limit // 2}, 1)])
+    with pytest.raises(ValueError):
+        half * half
+    with pytest.raises(ValueError):
+        shift2(half)
+    with pytest.raises(ValueError):
+        determinant([[half, t(1)], [t(2), half]])
+    below = Polynomial([({1: limit // 2 - 1}, 1)])
+    assert shift2(below).terms == {((2, limit // 2 - 1),): 1}
+    assert (below * t(1)).terms == {((1, limit // 2),): 1}
+
+
+def _low_weight_monomials():
+    """Hypothesis strategy for {var: exp} dicts of up to three variables, each
+    var * exp at most 42, so that the weight stays below 128."""
+    pair = st.integers(1, 42).flatmap(lambda v: st.tuples(st.just(v), st.integers(0, 42 // v)))
+    return st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(dict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_low_weight_monomials(), st.integers(-3, 3)), max_size=5))
+@example([({1: 127}, 1), ({2: 63}, 1), ({2: 62, 3: 1}, 2), ({127: 1}, -1), ({126: 1}, 1)])
+def test_packed_omega_and_shift2_match_reference(spec):
+    # high variables and exponents near the slot edge, against the reference
+    # substitutions on the (var, exp) form
+    p = Polynomial(spec)
+    ta = dict(p.terms)
+    assert omega(p).terms == ref_omega(ta)
+    assert shift2(p).terms == ref_shift2(ta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 4, 6)), st.data())
+def test_pfaffian_squares_to_determinant_and_matches_matchings(size, data):
+    # entries of mixed weight, so the pieces of each product are inhomogeneous
+    mat = [[Polynomial.zero()] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            entry = data.draw(polynomials(max_terms=3))
+            mat[i][j], mat[j][i] = entry, -entry
+    pf = pfaffian(mat)
+    assert pf == pfaffian_by_matchings(mat)
+    assert pf * pf == determinant(mat)

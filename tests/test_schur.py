@@ -1,8 +1,10 @@
 from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
+from schurmix import polyring
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import Polynomial, determinant, omega
 from schurmix.schur import (
@@ -59,23 +61,39 @@ def test_h_and_q_match_newton_recurrence():
             assert got == ref_mul(ref_newton(a, 2), ref_newton(b, 2))
 
 
-def test_divided_power_coefficients_are_int():
+def test_divided_power_coefficients_are_int(monkeypatch):
     # In the basis prod tj^mj / mj! the coefficient of S_lam at the monomial
     # of cycle type rho is the character value chi^lam(rho) (Macdonald I.7);
-    # Q_lam has int coefficients there too (Macdonald III.8).
+    # Q_lam has int coefficients there too (Macdonald III.8).  The stored
+    # coefficients, w! times the ordinary ones, are ints as well: the terms
+    # view hands each one to polyring._ordinary, which records it here.
+    stored = []
+    real = polyring._ordinary
+
+    def recording(weight, coeff):
+        stored.append(coeff)
+        return real(weight, coeff)
+
+    monkeypatch.setattr(polyring, "_ordinary", recording)
     for weight in range(11):
         for parts in partitions_of(weight):
-            coeffs = schur_s(Partition(parts))._terms
-            assert all(type(c) is int for c in coeffs.values())
+            stored.clear()
+            terms = schur_s(Partition(parts)).terms
+            coeffs = {mono: terms[mono] * prod(factorial(e) for _, e in mono) for mono in terms}
+            assert len(stored) == len(terms) and all(type(c) is int for c in stored)
             expected = {}
             for rho in partitions_of(weight):
                 chi = character(parts, rho)
                 if chi:
                     expected[tuple(sorted(Counter(rho).items()))] = chi
             assert coeffs == expected
+            assert all(c.denominator == 1 for c in coeffs.values())
         for parts in strict_partitions_of(weight):
-            coeffs = schur_q(StrictPartition(parts))._terms
-            assert all(type(c) is int for c in coeffs.values())
+            stored.clear()
+            terms = schur_q(StrictPartition(parts)).terms
+            coeffs = [terms[mono] * prod(factorial(e) for _, e in mono) for mono in terms]
+            assert len(stored) == len(terms) and all(type(c) is int for c in stored)
+            assert all(c.denominator == 1 for c in coeffs)
 
 
 def test_q_fun_uses_only_odd_variables():
