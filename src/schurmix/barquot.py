@@ -24,14 +24,6 @@ class MayaDiagram:
     prefix: tuple
     charge: int
 
-    def entry(self, k):
-        """The k-th entry, 1-indexed."""
-        if k < 1:
-            raise ValueError(f"index must be positive, got {k}")
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        return self.charge - k
-
 
 @dataclass(frozen=True)
 class QuotientTriple:
@@ -102,7 +94,7 @@ def quotient(lam):
     """Split a strict partition into (charge, even part halves, Maya partition)."""
     evens = StrictPartition(tuple(p // 2 for p in lam.parts if p % 2 == 0))
     md = maya(lam)
-    parts = tuple(md.entry(k) + k - md.charge for k in range(1, len(md.prefix) + 1))
+    parts = tuple(e + k - md.charge for k, e in enumerate(md.prefix, 1))
     return QuotientTriple(md.charge, evens, Partition(parts))
 
 

@@ -6,9 +6,11 @@ Exit codes: 0 when the requested check holds (or plain output succeeded),
 Commands that build S- or Q-polynomials refuse, with exit 2, any input whose
 weight exceeds MAX_WEIGHT, before building anything: the partition's weight
 for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
-the largest rectangle of the sweep for verify-all.  In the same way core
-refuses a core index beyond MAX_CORE_INDEX, and enumerate and fock-check a
-core index beyond MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.
+the largest rectangle of the sweep for verify-all.  In the same way core and
+inverse refuse a core index or --charge beyond MAX_CORE_INDEX, quotient and
+abacus a largest part above 4 * MAX_CORE_INDEX (no part of an admitted core is
+larger), and enumerate and fock-check a core index beyond MAX_ENUMERATE_CORE or
+a node count above MAX_ENUMERATE_ELL.
 Library calls have no limit but polyring's slot guard (weight below 256).
 """
 
@@ -21,7 +23,7 @@ import sys
 from .barquot import abacus, delta_sign, quotient, inverse_quotient
 from .fock import lemma_co_sides
 from .mixed import lhs, rect_shape, verify
-from .partitions import Partition, StrictPartition, add_set, bar_core
+from .partitions import CASES, Partition, StrictPartition, add_set, bar_core, case_color, check_color
 from .polyring import shift2
 from .schur import schur_q, schur_s
 
@@ -33,7 +35,9 @@ from .schur import schur_q, schur_s
 # the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
 
-# core prints the |m| parts of the core with index m on one line.
+# core prints the |m| parts of the core with index m on one line, and inverse
+# with empty q0 and q1 prints the core with index --charge.  quotient and
+# abacus take time and output linear in the largest part.
 MAX_CORE_INDEX = 1000
 
 # enumerate builds the whole addition set before printing it.  Its size peaks
@@ -65,23 +69,19 @@ def _partition(text, strict=False):
         raise ValueError(f"bad partition {text!r}: {err}") from None
 
 
-def _resolve_case(case, core, m, need_case=False):
-    """Combine an optional case flag with either --core (signed) or --m."""
+def _resolve_case(case, core, m):
+    """Color and m from either --core (signed, the case optional) or --case and --m."""
     if core is not None and m is not None:
         raise ValueError("give either --core or --m, not both")
     if core is not None:
-        if case == "one" and core < 0:
-            raise ValueError("case one needs a core index >= 0")
-        if case == "zero" and core > 0:
-            raise ValueError("case zero needs a core index <= 0")
-        if case is None:
-            case = "one" if core >= 0 else "zero"
-        return case, abs(core)
+        i = int(core >= 0) if case is None else case_color(case)
+        check_color(i, core)
+        return i, abs(core)
     if m is None:
         raise ValueError("missing --core or --m")
-    if case is None and need_case:
+    if case is None:
         raise ValueError("missing --case")
-    return case, m
+    return case_color(case), m
 
 
 def _check_weight(weight, what):
@@ -94,9 +94,12 @@ def _check_limit(what, size, limit):
         raise ValueError(f"{what} is over the limit of {limit}")
 
 
-def _check_rect(case, m, n, what="rectangle"):
-    shape = rect_shape(case, m, n)
-    _check_weight(max(shape.rows, 0) * max(shape.cols, 0), f"{what} {shape}")
+def _check_rect(i, m, n, what="rectangle"):
+    """The rectangle's text, refusing one of weight over MAX_WEIGHT."""
+    rows, cols = rect_shape(i, m, n)
+    text = f"{rows}x{cols}"
+    _check_weight(max(rows, 0) * max(cols, 0), f"{what} {text}")
+    return text
 
 
 def _term_record(t):
@@ -121,8 +124,16 @@ def cmd_core(ns):
     return 0
 
 
+def _bounded_strict(text):
+    """Strict partition argument of quotient or abacus, refusing a large part."""
+    lam = _partition(text, strict=True)
+    top = max(lam.parts, default=0)
+    _check_limit(f"largest part {top}", top, 4 * MAX_CORE_INDEX)
+    return lam
+
+
 def cmd_quotient(ns):
-    tri = quotient(_partition(ns.partition, strict=True))
+    tri = quotient(_bounded_strict(ns.partition))
     print(f"charge: {tri.charge}")
     print(f"q0: {tri.q0.to_text()}")
     print(f"q1: {tri.q1.to_text()}")
@@ -130,6 +141,7 @@ def cmd_quotient(ns):
 
 
 def cmd_inverse(ns):
+    _check_limit(f"--charge {ns.charge}", abs(ns.charge), MAX_CORE_INDEX)
     lam = inverse_quotient(
         ns.charge,
         _partition(ns.q0, strict=True),
@@ -140,17 +152,16 @@ def cmd_inverse(ns):
 
 
 def _check_addition_set(ns):
-    """Case of an enumerate or fock-check call, refusing an oversized core or --ell."""
-    case, _ = _resolve_case(ns.case, ns.core, None)
+    """Color of an enumerate or fock-check call, refusing an oversized core or --ell."""
+    i, _ = _resolve_case(ns.case, ns.core, None)
     _check_limit(f"core index {ns.core}", abs(ns.core), MAX_ENUMERATE_CORE)
     _check_limit(f"--ell {ns.ell}", ns.ell, MAX_ENUMERATE_ELL)
-    return case
+    return i
 
 
 def cmd_enumerate(ns):
-    case = _check_addition_set(ns)
-    color = 1 if case == "one" else 0
-    for mu in add_set(bar_core(ns.core), color, ns.ell):
+    i = _check_addition_set(ns)
+    for mu in add_set(bar_core(ns.core), i, ns.ell):
         print(mu.to_text())
     return 0
 
@@ -162,7 +173,7 @@ def cmd_sign(ns):
 
 
 def cmd_abacus(ns):
-    print(abacus(_partition(ns.partition, strict=True), ns.core).render())
+    print(abacus(_bounded_strict(ns.partition), ns.core).render())
     return 0
 
 
@@ -184,14 +195,14 @@ def cmd_schur_q(ns):
 
 
 def cmd_expand(ns):
-    case, m = _resolve_case(ns.case, ns.core, ns.m, need_case=True)
-    _check_rect(case, m, ns.n)
-    total, terms = lhs(case, m, ns.n)
+    i, m = _resolve_case(ns.case, ns.core, ns.m)
+    _check_rect(i, m, ns.n)
+    total, terms = lhs(CASES[i], m, ns.n)
     if ns.json:
         print(
             json.dumps(
                 {
-                    "case": case,
+                    "case": CASES[i],
                     "m": m,
                     "n": ns.n,
                     "terms": [
@@ -209,9 +220,9 @@ def cmd_expand(ns):
 
 
 def cmd_verify(ns):
-    case, m = _resolve_case(ns.case, ns.core, ns.m, need_case=True)
-    _check_rect(case, m, ns.n)
-    report = verify(case, m, ns.n)
+    i, m = _resolve_case(ns.case, ns.core, ns.m)
+    rectangle = _check_rect(i, m, ns.n)
+    report = verify(CASES[i], m, ns.n)
     if ns.json:
         print(
             json.dumps(
@@ -228,11 +239,11 @@ def cmd_verify(ns):
             )
         )
     else:
-        print(f"case: {case}")
+        print(f"case: {CASES[i]}")
         print(f"m: {m}")
         print(f"n: {ns.n}")
         print(f"core: {report.core_index}")
-        print(f"rectangle: {rect_shape(case, m, ns.n)}")
+        print(f"rectangle: {rectangle}")
         print(f"terms: {len(report.terms)}")
         print(f"equal: {'true' if report.equal else 'false'}")
     return 0 if report.equal else 1
@@ -241,19 +252,19 @@ def cmd_verify(ns):
 def cmd_verify_all(ns):
     if ns.max_m < 0:
         raise ValueError(f"--max-m must be >= 0, got {ns.max_m}; the sweep would be empty")
-    # The largest rectangle of the sweep is case zero at m = n = max_m, with
-    # weight max_m * (max_m + 1); case one peaks at max_m^2.
-    _check_rect("zero", ns.max_m, ns.max_m, "the sweep's largest rectangle")
+    # The largest rectangle of the sweep is color 0 at m = n = max_m, with
+    # weight max_m * (max_m + 1); color 1 peaks at max_m^2.
+    _check_rect(0, ns.max_m, ns.max_m, "the sweep's largest rectangle")
     failures = 0
     checks = 0
-    for case in ("one", "zero"):
+    for i in (1, 0):
         for m in range(ns.max_m + 1):
             for n in range(2 * m + 4):
-                report = verify(case, m, n)
+                report = verify(CASES[i], m, n)
                 checks += 1
                 if not report.equal:
                     failures += 1
-                print(f"{case} m={m} n={n} equal={'true' if report.equal else 'false'}")
+                print(f"{CASES[i]} m={m} n={n} equal={'true' if report.equal else 'false'}")
     if failures:
         print(f"all: {checks} checks, {failures} failed")
         return 1
@@ -262,10 +273,9 @@ def cmd_verify_all(ns):
 
 
 def cmd_fock_check(ns):
-    case = _check_addition_set(ns)
-    color = 1 if case == "one" else 0
-    left, right = lemma_co_sides(color, ns.core, ns.ell)
-    print(f"case: {case}")
+    i = _check_addition_set(ns)
+    left, right = lemma_co_sides(i, ns.core, ns.ell)
+    print(f"case: {CASES[i]}")
     print(f"core: {ns.core}")
     print(f"ell: {ns.ell}")
     print("divided-power side:")
@@ -298,7 +308,7 @@ def build_parser():
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("enumerate", help="node addition set of a core")
-    p.add_argument("--case", choices=("one", "zero"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--core", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=cmd_enumerate)
@@ -325,7 +335,7 @@ def build_parser():
     p.set_defaults(func=cmd_schur_q)
 
     p = sub.add_parser("expand", help="list the signed Q*S terms of an expansion")
-    p.add_argument("--case", choices=("one", "zero"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--m", type=int)
     p.add_argument("--core", type=int)
     p.add_argument("--n", type=int, required=True)
@@ -333,7 +343,7 @@ def build_parser():
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="check one expansion identity")
-    p.add_argument("--case", choices=("one", "zero"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--m", type=int)
     p.add_argument("--core", type=int)
     p.add_argument("--n", type=int, required=True)
@@ -345,7 +355,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("fock-check", help="compare the divided power expansion")
-    p.add_argument("--case", choices=("one", "zero"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--core", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=cmd_fock_check)

@@ -30,12 +30,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .partitions import StrictPartition, add_set, bar_core
+from .partitions import StrictPartition, add_set, bar_core, check_color, color
 from .polyring import accumulate, as_fraction
 
 
 class Sqrt2Scalar:
-    """Number a + b*sqrt(2) with rational a and b.  Exact field arithmetic.
+    """Number a + b*sqrt(2) with rational a and b, exact under + and *.
 
     a and b must be int or Fraction; anything else is a TypeError.
     """
@@ -74,9 +74,6 @@ class Sqrt2Scalar:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -88,12 +85,6 @@ class Sqrt2Scalar:
     def __neg__(self):
         return Sqrt2Scalar(-self.a, -self.b)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Scalar(self.a - other.a, self.b - other.b)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -104,15 +95,6 @@ class Sqrt2Scalar:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.a * other.a - 2 * other.b * other.b
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return self * Sqrt2Scalar(other.a / norm, -other.b / norm)
 
     def __repr__(self):
         return f"Sqrt2Scalar({self.a}, {self.b})"
@@ -210,12 +192,16 @@ def f_inf(i, lam):
 _SQRT2 = Sqrt2Scalar(0, 1)
 
 
+def _residues(i):
+    """Residues mod 4 of the parts a color i step raises: part p fills column p + 1."""
+    return tuple(r for r in range(4) if color(r + 1) == i)
+
+
 def f_chev(i, v):
     """Color i raising operator on a vector: sqrt 2 times the sum of the
     elementary operators whose index lies in color class i."""
-    if i not in (0, 1):
-        raise ValueError(f"color must be 0 or 1, got {i}")
-    residues = (0, 3) if i == 0 else (1, 2)
+    check_color(i)
+    residues = _residues(i)
     out = FockVector()
     for lam, coeff in v.entries.items():
         indices = [p for p in lam.parts if p % 4 in residues]
@@ -238,7 +224,7 @@ def _path_counts(i, core, ell):
     an odd length state and 2 from an even one, so N / 2^r is the sum of the
     path weights when the path adds r rows.
     """
-    residues = (0, 3) if i == 0 else (1, 2)
+    residues = _residues(i)
     states = {core: 1}
     for _ in range(ell):
         nxt = {}
@@ -260,14 +246,9 @@ def _path_counts(i, core, ell):
 
 def lemma_co_sides(i, core_index, ell):
     """Divided power side and weighted sum side of the core expansion."""
-    if i not in (0, 1):
-        raise ValueError(f"color must be 0 or 1, got {i}")
+    check_color(i, core_index)
     if ell < 0:
         raise ValueError(f"power must be >= 0, got {ell}")
-    if i == 1 and core_index < 0:
-        raise ValueError("color 1 requires a core index >= 0")
-    if i == 0 and core_index > 0:
-        raise ValueError("color 0 requires a core index <= 0")
     core = bar_core(core_index)
     half, odd = divmod(ell, 2)
     denominator = factorial(ell)

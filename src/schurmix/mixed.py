@@ -1,9 +1,10 @@
 """Mixed Q*S expansions of rectangular S-polynomials, and their verification.
 
-Case "one" expands the rectangle with 2m-n rows of length n over the node
-addition set of color 1 on the core with index m.  Case "zero" expands the
-rectangle with n rows of length 2m+1-n over the additions of color 0 on the
-core with index -m.  Each summand is the sign of the partition times the
+A case is a color i, named by ``partitions.CASES[i]``, together with m >= 0.
+Color 1 ("one") expands the rectangle with 2m-n rows of length n over the node
+addition set of color 1 on the core with index m.  Color 0 ("zero") expands
+the rectangle with n rows of length 2m+1-n over the additions of color 0 on
+the core with index -m.  Each summand is the sign of the partition times the
 Q-polynomial of its even half times the S-polynomial of its Maya half in the
 doubled variables.  Both sides vanish when the addition set is empty.
 """
@@ -13,31 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .barquot import delta_sign, quotient
-from .partitions import Partition, StrictPartition, add_set, bar_core
+from .partitions import Partition, StrictPartition, add_set, bar_core, case_color
 from .polyring import Polynomial, shift2
-from .schur import RectShape, rect_schur, schur_q, schur_s
-
-CASES = ("one", "zero")
+from .schur import rect_schur, schur_q, schur_s
 
 
-def _check_case(case, m, n):
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+def _case(case, m, n):
+    """Color and core index of a named case, refusing a negative m or n."""
+    i = case_color(case)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return i, m if i else -m
 
 
-def core_index_for(case, m):
-    return m if case == "one" else -m
-
-
-def rect_shape(case, m, n):
-    """Rectangle on the right hand side of the identity."""
-    if case == "one":
-        return RectShape(2 * m - n, n)
-    return RectShape(n, 2 * m + 1 - n)
+def rect_shape(i, m, n):
+    """(rows, cols) of the rectangle on the right hand side for color i."""
+    if i:
+        return 2 * m - n, n
+    return n, 2 * m + 1 - n
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,10 @@ def lhs(case, m, n):
     Returns the total polynomial together with the term records, ordered like
     the addition set itself (decreasing lexicographic in mu).
     """
-    _check_case(case, m, n)
-    color = 1 if case == "one" else 0
-    core_index = core_index_for(case, m)
+    i, core_index = _case(case, m, n)
     core = bar_core(core_index)
     terms = []
-    for mu in add_set(core, color, n):
+    for mu in add_set(core, i, n):
         tri = quotient(mu)
         sign = delta_sign(mu, core_index)
         value = schur_q(tri.q0) * shift2(schur_s(tri.q1)) * sign
@@ -88,9 +82,8 @@ def lhs(case, m, n):
 
 def rhs(case, m, n):
     """Rectangle side of the identity."""
-    _check_case(case, m, n)
-    shape = rect_shape(case, m, n)
-    return rect_schur(shape.rows, shape.cols)
+    i, _ = _case(case, m, n)
+    return rect_schur(*rect_shape(i, m, n))
 
 
 def verify(case, m, n):
@@ -100,7 +93,7 @@ def verify(case, m, n):
     difference = left - right
     return VerificationReport(
         case=case,
-        core_index=core_index_for(case, m),
+        core_index=_case(case, m, n)[1],
         n=n,
         lhs=left,
         rhs=right,

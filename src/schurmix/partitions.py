@@ -4,9 +4,15 @@ Columns of a Young diagram are colored with two colors repeating with period
 four: columns 1, 4, 5, 8, 9, ... carry color 0 and columns 2, 3, 6, 7, ...
 carry color 1.  Adding nodes of a single color to a strict partition produces
 the sets enumerated by :func:`add_set`.
+
+A case of the expansion is a color: case "one" grows cores with index >= 0
+by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 """
 
 from __future__ import annotations
+
+# A case name's index is its color.
+CASES = ("zero", "one")
 
 
 class Partition:
@@ -81,15 +87,27 @@ class StrictPartition(Partition):
             if self.parts[k - 1] == self.parts[k]:
                 raise ValueError(f"parts must be strictly decreasing, got {self.parts}")
 
-    def to_partition(self):
-        return Partition(self.parts)
-
 
 def color(j):
     """Color of diagram column j: 0 when j = 0, 1 (mod 4), else 1."""
     if j < 1:
         raise ValueError(f"column index must be positive, got {j}")
     return 0 if j % 4 in (0, 1) else 1
+
+
+def case_color(case):
+    """Color of a case name."""
+    if case not in CASES:
+        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    return CASES.index(case)
+
+
+def check_color(i, core_index=0):
+    """Refuse a color other than 0 or 1, or a core index of the wrong sign for it."""
+    if i not in (0, 1):
+        raise ValueError(f"color must be 0 or 1, got {i}")
+    if (core_index < 0) if i else (core_index > 0):
+        raise ValueError(f"case {CASES[i]} needs a core index {'>=' if i else '<='} 0")
 
 
 def bar_core(m):
@@ -108,8 +126,7 @@ def add_set(lam, i, ell):
     of mu outside lam sits in a column of color i.  New rows below lam are
     allowed.  Results come in decreasing lexicographic order of parts.
     """
-    if i not in (0, 1):
-        raise ValueError(f"color must be 0 or 1, got {i}")
+    check_color(i)
     if ell < 0:
         raise ValueError(f"node count must be non-negative, got {ell}")
     # Column colors run 0, 1, 1, 0, 0, 1, 1, ...: a row gains at most two

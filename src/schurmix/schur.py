@@ -15,7 +15,6 @@ two-row building blocks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .partitions import Partition
 from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian
@@ -81,16 +80,3 @@ def rect_schur(a, b):
         return Polynomial.one()
     return schur_s(Partition((b,) * a))
 
-
-@dataclass(frozen=True)
-class RectShape:
-    """Rectangle with a rows of length b; degenerate values are meaningful."""
-
-    rows: int
-    cols: int
-
-    def schur(self):
-        return rect_schur(self.rows, self.cols)
-
-    def __str__(self):
-        return f"{self.rows}x{self.cols}"

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 
 from schurmix.barquot import (
@@ -46,10 +45,6 @@ def test_maya_prefix_is_minimal():
     md = maya(StrictPartition((11, 9, 6, 2, 1)))
     assert md.charge == 1
     assert md.prefix == (2, 0, -1, -2)
-    assert md.entry(5) == -4
-    assert md.entry(6) == -5
-    with pytest.raises(ValueError):
-        md.entry(0)
     assert maya(StrictPartition()).prefix == ()
 
 

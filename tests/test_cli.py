@@ -8,7 +8,10 @@ from pathlib import Path
 import schurmix
 import schurmix.cli as cli
 from schurmix.mixed import VerificationReport
+from schurmix.partitions import bar_core
 from schurmix.polyring import Polynomial
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +257,35 @@ def test_oversized_fock_check_is_a_usage_error(capsys, monkeypatch):
         assert err.startswith("error:") and f"limit of {limit}" in err, argv
 
 
+def test_oversized_quotient_inverse_and_abacus_are_usage_errors(capsys, monkeypatch):
+    for name in ("quotient", "inverse_quotient", "abacus"):
+        monkeypatch.setattr(cli, name, _refuse_to_build)
+    top = 4 * cli.MAX_CORE_INDEX
+    oversized = [
+        (["quotient", "12000003"], top),
+        (["quotient", f"{top + 1},2"], top),
+        (["abacus", str(top + 2), "--core", "0"], top),
+        (["inverse", "--charge", "3000000"], cli.MAX_CORE_INDEX),
+        (["inverse", "--charge", str(-cli.MAX_CORE_INDEX - 1), "--q0", "3,1"], cli.MAX_CORE_INDEX),
+    ]
+    for argv, limit in oversized:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and f"limit of {limit}" in err, argv
+
+
+def test_quotient_inverse_and_abacus_limits_lose_no_core(capsys):
+    for charge in (cli.MAX_CORE_INDEX, -cli.MAX_CORE_INDEX):
+        # with empty q0 and q1, inverse rebuilds the core with index --charge
+        code, out, _ = run_cli(capsys, "inverse", "--charge", str(charge))
+        assert code == 0 and out == bar_core(charge).to_text() + "\n"
+        code, out, _ = run_cli(capsys, "quotient", out.strip())
+        assert code == 0 and out.splitlines()[0] == f"charge: {charge}"
+    code, out, _ = run_cli(capsys, "abacus", str(4 * cli.MAX_CORE_INDEX), "--core", "0")
+    assert code == 0 and f"[{4 * cli.MAX_CORE_INDEX}]" in out
+
+
 def test_core_and_enumerate_limits_lose_no_result(capsys):
     code, out, _ = run_cli(capsys, "core", str(-cli.MAX_CORE_INDEX))
     assert code == 0 and len(out.split(",")) == cli.MAX_CORE_INDEX
@@ -296,8 +328,7 @@ def test_module_entry_point():
 def readme_examples():
     """(argv, expected stdout) for each `$ schurmix ...` line in the README's
     "Command line" block."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
     examples = []
     for chunk in block.split("$ schurmix ")[1:]:
         command, _, output = chunk.partition("\n")
@@ -318,6 +349,20 @@ def test_readme_examples(capsys):
             assert out == expected, argv
 
 
+def test_readme_library_block(capsys):
+    block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    # each commented line maps its statement to the text of its comment
+    comments = dict(
+        (part.strip() for part in line.split("# ", 1)) for line in code.splitlines() if "# " in line
+    )
+    namespace = {}
+    exec(code, namespace)
+    assert repr(namespace["core"]) == comments["core = bar_core(-2)"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == comments["print(tri.charge, tri.q0, tri.q1)"]
+
+
 def test_fock_check_command(capsys):
     code, out, _ = run_cli(capsys, "fock-check", "--core", "-2", "--ell", "1")
     assert code == 0
@@ -325,6 +370,30 @@ def test_fock_check_command(capsys):
     assert "case: zero" in lines
     assert "  8,3: sqrt2" in lines
     assert lines[-1] == "equal: true"
+
+
+def test_core_index_zero_keeps_both_cases(capsys):
+    assert run_cli(capsys, "enumerate", "--core", "0", "--ell", "1") == (0, "", "")
+    code, out, _ = run_cli(capsys, "enumerate", "--case", "zero", "--core", "0", "--ell", "1")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "verify", "--core", "0", "--n", "1")
+    assert code == 0
+    assert {"case: one", "rectangle: -1x1", "terms: 0"} <= set(out.splitlines())
+    code, out, _ = run_cli(capsys, "verify", "--case", "zero", "--core", "0", "--n", "1")
+    assert code == 0
+    assert {"case: zero", "rectangle: 1x0", "terms: 1"} <= set(out.splitlines())
+    code, out, _ = run_cli(capsys, "fock-check", "--case", "zero", "--core", "0", "--ell", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "case: zero",
+        "core: 0",
+        "ell: 1",
+        "divided-power side:",
+        "  1: sqrt2",
+        "weighted-sum side:",
+        "  1: sqrt2",
+        "equal: true",
+    ]
 
 
 def test_bad_partition_is_usage_error(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from schurmix.mixed import lhs, rect_shape, rhs, verify
-from schurmix.partitions import Partition, add_set, bar_core
+from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.schur import rect_schur, schur_s
 
 
@@ -43,8 +43,8 @@ def test_negative_core_worked_expansion():
 
 
 def test_rect_shape_by_case():
-    assert (rect_shape("one", 3, 2).rows, rect_shape("one", 3, 2).cols) == (4, 2)
-    assert (rect_shape("zero", 2, 2).rows, rect_shape("zero", 2, 2).cols) == (2, 3)
+    assert rect_shape(1, 3, 2) == (4, 2)
+    assert rect_shape(0, 2, 2) == (2, 3)
 
 
 def test_degenerate_rectangles():
@@ -85,11 +85,11 @@ def test_term_count_matches_add_set():
 
 
 def test_terms_are_homogeneous_of_rectangle_weight():
-    for case in ("one", "zero"):
+    for i, case in enumerate(CASES):
         for m in range(4):
             for n in range(2 * m + 4):
-                shape = rect_shape(case, m, n)
-                area = shape.rows * shape.cols
+                rows, cols = rect_shape(i, m, n)
+                area = rows * cols
                 _, terms = lhs(case, m, n)
                 for t in terms:
                     if area:

@@ -46,7 +46,6 @@ def test_partition_basics():
     assert lam == Partition((4, 2, 2))
     assert hash(lam) == hash(Partition((4, 2, 2)))
     assert StrictPartition((3, 1)) == Partition((3, 1))
-    assert StrictPartition((3, 1)).to_partition() == Partition((3, 1))
 
 
 def test_text_round_trip():

@@ -8,7 +8,6 @@ from schurmix import polyring
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import Polynomial, determinant, omega
 from schurmix.schur import (
-    RectShape,
     complete_h,
     q_fun,
     q_pair,
@@ -211,12 +210,6 @@ def test_rect_schur_degenerate_edges():
     assert rect_schur(3, -1).is_zero
     assert rect_schur(1, 4) == complete_h(4)
     assert rect_schur(2, 2) == schur_s(Partition((2, 2)))
-
-
-def test_rect_shape():
-    shape = RectShape(4, 2)
-    assert str(shape) == "4x2"
-    assert shape.schur() == rect_schur(4, 2)
 
 
 def test_schur_s_matches_classical_at_a_point():
