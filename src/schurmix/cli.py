@@ -6,11 +6,12 @@ Exit codes: 0 when the requested check holds (or plain output succeeded),
 Commands that build S- or Q-polynomials refuse, with exit 2, any input whose
 weight exceeds MAX_WEIGHT, before building anything: the partition's weight
 for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
-the largest rectangle of the sweep for verify-all.  In the same way core and
-inverse refuse a core index or --charge beyond MAX_CORE_INDEX, quotient and
-abacus a largest part above 4 * MAX_CORE_INDEX (no part of an admitted core is
-larger), and enumerate and fock-check a core index beyond MAX_ENUMERATE_CORE or
-a node count above MAX_ENUMERATE_ELL.
+the largest rectangle of the sweep for verify-all.  In the same way core,
+expand and verify refuse a core index beyond MAX_CORE_INDEX (an empty
+rectangle has weight 0 whatever the core), inverse a --charge beyond it,
+quotient and abacus a largest part above 4 * MAX_CORE_INDEX (no part of an
+admitted core is larger), and enumerate and fock-check a core index beyond
+MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.
 Library calls have no limit but polyring's slot guard (weight below 256).
 """
 
@@ -95,7 +96,10 @@ def _check_limit(what, size, limit):
 
 
 def _check_rect(i, m, n, what="rectangle"):
-    """The rectangle's text, refusing one of weight over MAX_WEIGHT."""
+    """The rectangle's text, refusing a core index over MAX_CORE_INDEX or a
+    rectangle of weight over MAX_WEIGHT.  An empty rectangle has weight 0
+    whatever the core, so the core needs its own limit."""
+    _check_limit(f"core index {m if i else -m}", m, MAX_CORE_INDEX)
     rows, cols = rect_shape(i, m, n)
     text = f"{rows}x{cols}"
     _check_weight(max(rows, 0) * max(cols, 0), f"{what} {text}")

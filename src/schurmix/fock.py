@@ -31,7 +31,23 @@ from fractions import Fraction
 from math import factorial
 
 from .partitions import StrictPartition, add_set, bar_core, check_color, color
-from .polyring import accumulate, as_fraction
+from .polyring import as_fraction
+
+
+def accumulate(acc, items):
+    """Add coeff into acc[key] for each (key, coeff) of items, in place.
+
+    Keys whose coefficient becomes zero are dropped, so acc stays sparse.
+    Returns acc.
+    """
+    for key, coeff in items:
+        old = acc.get(key)
+        new = coeff if old is None else old + coeff
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 class Sqrt2Scalar:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .barquot import delta_sign, quotient
 from .partitions import Partition, StrictPartition, add_set, bar_core, case_color
-from .polyring import Polynomial, shift2
+from .polyring import Polynomial, shift2, sum_of_products
 from .schur import rect_schur, schur_q, schur_s
 
 
@@ -42,7 +42,15 @@ class ExpansionTerm:
     sign: int
     q_index: StrictPartition
     s_index: Partition
-    value: Polynomial
+
+    def factors(self):
+        """(sign, Q, S(t2)) of this summand, a sum_of_products triple."""
+        return self.sign, schur_q(self.q_index), shift2(schur_s(self.s_index))
+
+    @property
+    def value(self):
+        """The summand sign * Q * S(t2), computed when read."""
+        return sum_of_products((self.factors(),))
 
 
 @dataclass
@@ -64,20 +72,11 @@ def lhs(case, m, n):
     the addition set itself (decreasing lexicographic in mu).
     """
     i, core_index = _case(case, m, n)
-    core = bar_core(core_index)
     terms = []
-    for mu in add_set(core, i, n):
+    for mu in add_set(bar_core(core_index), i, n):
         tri = quotient(mu)
-        sign = delta_sign(mu, core_index)
-        value = schur_q(tri.q0) * shift2(schur_s(tri.q1)) * sign
-        terms.append(ExpansionTerm(mu, sign, tri.q0, tri.q1, value))
-    # Summands are added in pairs, round by round: a running total would copy
-    # its growing dict once per summand, so the sum would cost quadratic time.
-    values = [term.value for term in terms] or [Polynomial.zero()]
-    while len(values) > 1:
-        odd = values[len(values) - len(values) % 2 :]
-        values = [a + b for a, b in zip(values[::2], values[1::2])] + odd
-    return values[0], terms
+        terms.append(ExpansionTerm(mu, delta_sign(mu, core_index), tri.q0, tri.q1))
+    return sum_of_products(term.factors() for term in terms), terms
 
 
 def rhs(case, m, n):

@@ -27,6 +27,12 @@ multiplies each coefficient by (2w)!/w!; omega flips the sign of a
 coefficient when the exponents of the even variables have an odd sum.  Caller
 Fractions that do not become integral after scaling stay Fractions.
 
+Terms are combined in one place, sum_of_products, which sums c * a * b over
+(int c, Polynomial a, Polynomial b) triples into one dict and prunes zero
+coefficients and empty pieces once at the end.  A sum a + b is the triples
+(1, 1, a) and (1, 1, b), a product a * b the triple (1, a, b), and each minor
+of a determinant or Pfaffian the signed triples of its expansion.
+
 Terms are kept in a canonical order: ascending weight, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  The same
 order drives the pretty printer and the JSON form
@@ -117,62 +123,33 @@ def as_fraction(value):
     return Fraction(value)
 
 
-def accumulate(acc, items, sign=1):
-    """Add sign * coeff into acc[key] for each (key, coeff) of items, in place.
+def sum_of_products(terms):
+    """Sum of c * a * b over (int c, Polynomial a, Polynomial b) triples.
 
-    Keys whose coefficient becomes zero are dropped, so acc stays sparse.
-    Works for any coefficient type with negation, addition and truth value.
-    Returns acc.
+    Every product is added into one owned {w: {key: c}} dict, whose zero
+    coefficients and empty pieces are pruned once, at the end.  The inner
+    loop runs over the terms of b, so a sum puts the constant 1 as a.
     """
-    for key, coeff in items:
-        if sign < 0:
-            coeff = -coeff
-        old = acc.get(key)
-        new = coeff if old is None else old + coeff
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-    return acc
-
-
-def _add_into(acc, terms, sign=1):
-    """Add sign * terms into the pieces of acc, which acc owns; zeros and
-    empty pieces are dropped as they arise."""
-    for w, piece in terms.items():
-        old = acc.get(w)
-        if old is None:
-            acc[w] = dict(piece) if sign > 0 else {k: -c for k, c in piece.items()}
-        elif not accumulate(old, piece.items(), sign):
-            del acc[w]
-    return acc
-
-
-def _mul_into(acc, left, right, sign=1):
-    """Add sign * left * right into the pieces of acc; zeros stay until _pruned."""
-    for a, p in left.items():
-        for b, q in right.items():
-            w = _check_weight(a + b)
-            scale = sign * comb(w, a)
-            out = acc.setdefault(w, {})
-            get = out.get
-            q = q.items()
-            for k1, c1 in p.items():
-                c1 *= scale
-                for k2, c2 in q:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-    return acc
-
-
-def _pruned(acc):
-    """acc with its zero coefficients and empty pieces deleted in place."""
+    acc = {}
+    for c, left, right in terms:
+        for a, p in left._terms.items():
+            for b, q in right._terms.items():
+                w = _check_weight(a + b)
+                scale = c * comb(w, a)
+                out = acc.setdefault(w, {})
+                get = out.get
+                q = q.items()
+                for k1, c1 in p.items():
+                    c1 *= scale
+                    for k2, c2 in q:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
     for w, piece in list(acc.items()):
-        for k in [k for k, c in piece.items() if not c]:
+        for k in [k for k, v in piece.items() if not v]:
             del piece[k]
         if not piece:
             del acc[w]
-    return acc
+    return Polynomial._raw(acc)
 
 
 class _OrdinaryTerms(Mapping):
@@ -226,13 +203,8 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                w, key = _pack(_monomial(mono))
-                accumulate(d.setdefault(w, {}), ((key, _scaled(coeff, w)),))
-        self._terms = _pruned(d)
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self._terms = sum_of_products((1, _ONE, _term(mono, c)) for mono, c in items)._terms
 
     @classmethod
     def _raw(cls, d):
@@ -260,8 +232,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, j):
-        w, key = _pack(_monomial(((j, 1),)))
-        return cls._raw({w: {key: factorial(w)}})
+        return _term(((j, 1),), 1)
 
     @property
     def is_zero(self):
@@ -275,9 +246,6 @@ class Polynomial:
             return Polynomial.constant(value)
         return None
 
-    def _copy_terms(self):
-        return {w: dict(piece) for w, piece in self._terms.items()}
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -288,7 +256,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(_add_into(self._copy_terms(), other._terms))
+        return sum_of_products(((1, _ONE, self), (1, _ONE, other)))
 
     __radd__ = __add__
 
@@ -299,7 +267,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._raw(_add_into(self._copy_terms(), other._terms, -1))
+        return sum_of_products(((1, _ONE, self), (-1, _ONE, other)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -316,7 +284,7 @@ class Polynomial:
             )
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial._raw(_pruned(_mul_into({}, self._terms, other._terms)))
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -396,6 +364,15 @@ class Polynomial:
         }
 
 
+_ONE = Polynomial._raw({0: {0: 1}})
+
+
+def _term(mono, coeff):
+    """The one-term polynomial coeff * mono, from a caller's monomial and coefficient."""
+    w, key = _pack(_monomial(mono))
+    return Polynomial._raw({w: {key: _scaled(coeff, w)}})
+
+
 def _monomials(n, top, step):
     """(packed key, prod mj!) of every monomial prod tj^mj of weight n in t1,
     t(1+step), t(1+2*step), ... up to t_top; none for n < 0."""
@@ -470,11 +447,9 @@ def _expand(n, pick):
     def minor(mask):
         result = memo.get(mask)
         if result is None:
-            acc = {}
-            for sign, entry, rest in pick(mask):
-                if entry._terms:
-                    _mul_into(acc, entry._terms, minor(rest)._terms, sign)
-            result = memo[mask] = Polynomial._raw(_pruned(acc))
+            result = memo[mask] = sum_of_products(
+                (sign, entry, minor(rest)) for sign, entry, rest in pick(mask) if entry._terms
+            )
         return result
 
     return minor((1 << n) - 1)

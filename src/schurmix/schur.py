@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from .partitions import Partition
-from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian
+from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian, sum_of_products
 
 
 @functools.cache
@@ -41,10 +41,10 @@ def q_pair(m, n):
         return Polynomial.zero()
     if m < n:
         return -q_pair(n, m)
-    total = q_fun(m) * q_fun(n)
-    for i in range(1, n + 1):
-        total = total + q_fun(m + i) * q_fun(n - i) * (2 if i % 2 == 0 else -2)
-    return total
+    # q_m q_n + 2 * sum over 0 < i <= n of (-1)^i q_(m+i) q_(n-i)
+    return sum_of_products(
+        ((-1) ** i * (2 if i else 1), q_fun(m + i), q_fun(n - i)) for i in range(n + 1)
+    )
 
 
 @functools.cache

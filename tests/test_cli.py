@@ -205,23 +205,26 @@ def _refuse_to_build(*args):
 
 
 OVERSIZED = [
-    ["schur-s", "1500"],
-    ["schur-s", ",".join(["1"] * 43)],
-    ["schur-q", "30,13"],
-    ["expand", "--core", "22", "--n", "1"],
-    ["verify", "--case", "one", "--m", "12", "--n", "6"],
-    ["verify-all", "--max-m", "7"],
+    (["schur-s", "1500"], cli.MAX_WEIGHT),
+    (["schur-s", ",".join(["1"] * 43)], cli.MAX_WEIGHT),
+    (["schur-q", "30,13"], cli.MAX_WEIGHT),
+    (["expand", "--core", "22", "--n", "1"], cli.MAX_WEIGHT),
+    (["verify", "--case", "one", "--m", "12", "--n", "6"], cli.MAX_WEIGHT),
+    (["verify-all", "--max-m", "7"], cli.MAX_WEIGHT),
+    # an empty rectangle has weight 0, so only the core limit stops these
+    (["verify", "--core", "200000", "--n", "0"], cli.MAX_CORE_INDEX),
+    (["expand", "--case", "zero", "--m", "5000", "--n", "0"], cli.MAX_CORE_INDEX),
 ]
 
 
 def test_oversized_input_is_usage_error(capsys, monkeypatch):
     for name in ("schur_s", "schur_q", "lhs", "verify"):
         monkeypatch.setattr(cli, name, _refuse_to_build)
-    for argv in OVERSIZED:
+    for argv, limit in OVERSIZED:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert err.startswith("error:") and f"limit of {cli.MAX_WEIGHT}" in err, argv
+        assert err.startswith("error:") and f"limit of {limit}" in err, argv
 
 
 def test_oversized_core_and_enumerate_are_usage_errors(capsys, monkeypatch):
@@ -307,6 +310,9 @@ def test_weight_limit_admits_benchmark_calls(capsys, monkeypatch):
         assert run_cli(capsys, "verify", "--case", case, "--m", str(m), "--n", str(n))[0] == 0
     assert run_cli(capsys, "verify-all", "--max-m", "5")[0] == 0
     assert run_cli(capsys, "verify-all", "--max-m", "6")[0] == 0
+    # the largest admitted cores, with an empty rectangle of weight 0
+    for core in (cli.MAX_CORE_INDEX, -cli.MAX_CORE_INDEX):
+        assert run_cli(capsys, "verify", "--core", str(core), "--n", "0")[0] == 0
     assert run_cli(capsys, "schur-s", ",".join(["1"] * cli.MAX_WEIGHT))[0] == 0
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from schurmix.mixed import lhs, rect_shape, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
+from schurmix.polyring import Polynomial
 from schurmix.schur import rect_schur, schur_s
 
 
@@ -96,6 +97,16 @@ def test_terms_are_homogeneous_of_rectangle_weight():
                         assert t.value.homogeneous_degree() == area
                     else:
                         assert t.value.homogeneous_degree() == 0
+
+
+def test_total_is_the_sum_of_the_term_values():
+    # the total comes from one accumulator and each value is computed when
+    # read, so the two paths must agree term for term
+    for case in CASES:
+        for m in range(4):
+            for n in range(2 * m + 4):
+                total, terms = lhs(case, m, n)
+                assert total == sum((t.value for t in terms), Polynomial.zero()), (case, m, n)
 
 
 def test_sweep_small_cores():

@@ -19,6 +19,7 @@ from schurmix.polyring import (
     omega,
     pfaffian,
     shift2,
+    sum_of_products,
 )
 from schurmix.schur import complete_h, schur_q, schur_s
 
@@ -153,6 +154,22 @@ def test_arithmetic_matches_ordinary_basis_reference(a, b):
     assert (a + b).terms == ref_add(ta, tb)
     assert shift2(a).terms == ref_shift2(ta)
     assert omega(a).terms == ref_omega(ta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), polynomials(), polynomials()), max_size=4))
+@example([(2, Polynomial.one() + t(1), t(3) - t(1) * t(2))])
+def test_sum_of_products_matches_ordinary_basis_reference(triples):
+    expected = {}
+    for c, a, b in triples:
+        product = ref_mul(dict(a.terms), dict(b.terms))
+        expected = ref_add(expected, {mono: c * coeff for mono, coeff in product.items()})
+    assert sum_of_products(triples).terms == expected
+    # Each product added back with the opposite sign and the factors swapped
+    # cancels every term; == compares the pieces, so an empty weight piece
+    # left behind would fail it.
+    mirrored = triples + [(-c, b, a) for c, a, b in triples]
+    assert sum_of_products(mirrored) == Polynomial.zero()
 
 
 def test_omega_maps_h_to_e():
