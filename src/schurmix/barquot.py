@@ -1,8 +1,8 @@
 """Four-runner bar abacus, the quotient bijection, and the bead pair sign.
 
 A strict partition decomposes into an integer charge, a strict partition read
-off the even parts, and an ordinary partition read off a Maya diagram built
-from the parts congruent to 1 and 3 mod 4.  The map is a bijection; see
+off the even parts, and an ordinary partition read off the Maya diagram of
+the parts congruent to 1 and 3 mod 4.  The map is a bijection; see
 :func:`quotient` and :func:`inverse_quotient`.
 """
 
@@ -11,18 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition, StrictPartition
-
-
-@dataclass(frozen=True)
-class MayaDiagram:
-    """Strictly decreasing integer sequence with eventual entry charge - k.
-
-    Only the finite prefix that deviates from the tail rule is stored; the
-    prefix is minimal, so its last entry never equals charge - k.
-    """
-
-    prefix: tuple
-    charge: int
 
 
 @dataclass(frozen=True)
@@ -68,13 +56,16 @@ class BarAbacus:
         return "\n".join(lines)
 
 
-def maya(lam):
-    """Maya diagram of a strict partition.
+def quotient(lam):
+    """Split a strict partition into (charge, even part halves, Maya partition).
 
-    Parts 4k+1 contribute the entry k, and the negative entries are all j < 0
-    except those of the form -k-1 for a part 4k+3.  The charge is the count of
-    parts 1 mod 4 minus the count of parts 3 mod 4.
+    The Maya diagram is the strictly decreasing sequence e_1 > e_2 > ... whose
+    non-negative entries are k for each part 4k+1 and whose negative entries
+    are all j < 0 except -k-1 for each part 4k+3.  The charge is the count of
+    parts 1 mod 4 minus the count of parts 3 mod 4, and e_k = charge - k for
+    all large k, so q1_k = e_k + k - charge is a partition.
     """
+    evens = StrictPartition(tuple(p // 2 for p in lam.parts if p % 2 == 0))
     ones = [p for p in lam.parts if p % 4 == 1]
     threes = [p for p in lam.parts if p % 4 == 3]
     top = {(p - 1) // 4 for p in ones}
@@ -84,18 +75,10 @@ def maya(lam):
     entries = sorted(top, reverse=True) + [
         j for j in range(-1, bound - 1, -1) if j not in excluded
     ]
-    k = len(entries)
-    while k > 0 and entries[k - 1] == charge - k:
-        k -= 1
-    return MayaDiagram(tuple(entries[:k]), charge)
-
-
-def quotient(lam):
-    """Split a strict partition into (charge, even part halves, Maya partition)."""
-    evens = StrictPartition(tuple(p // 2 for p in lam.parts if p % 2 == 0))
-    md = maya(lam)
-    parts = tuple(e + k - md.charge for k, e in enumerate(md.prefix, 1))
-    return QuotientTriple(md.charge, evens, Partition(parts))
+    parts = [e + k - charge for k, e in enumerate(entries, 1)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return QuotientTriple(charge, evens, Partition(parts))
 
 
 def inverse_quotient(charge, q0, q1):

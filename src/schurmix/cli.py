@@ -9,8 +9,8 @@ for schur-s and schur-q, the rectangle's rows*cols for expand and verify, and
 the largest rectangle of the sweep for verify-all.  In the same way core,
 expand and verify refuse a core index beyond MAX_CORE_INDEX (an empty
 rectangle has weight 0 whatever the core), inverse a --charge beyond it,
-quotient and abacus a largest part above 4 * MAX_CORE_INDEX (no part of an
-admitted core is larger), and enumerate and fock-check a core index beyond
+quotient, abacus and sign a largest part above 4 * MAX_CORE_INDEX (no part of
+an admitted core is larger), and enumerate and fock-check a core index beyond
 MAX_ENUMERATE_CORE or a node count above MAX_ENUMERATE_ELL.
 Library calls have no limit but polyring's slot guard (weight below 256).
 """
@@ -38,14 +38,15 @@ MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse
 # with empty q0 and q1 prints the core with index --charge.  quotient and
-# abacus take time and output linear in the largest part.
+# abacus take time and output linear in the largest part, sign up to
+# quadratic time.
 MAX_CORE_INDEX = 1000
 
-# enumerate builds the whole addition set before printing it.  Its size peaks
-# near ell = |core|: on the same host 17303 partitions in 0.3 s for core -10,
-# 143365 in 3 s for core -12 and 414584 in 10 s for core -13.  A core with
-# index m takes at most 2|m| + 1 nodes of its color, so no larger ell has a
-# result, while a huge ell still costs time and memory.
+# enumerate prints the addition set one partition at a time, so these limits
+# bound its output and time.  Its size peaks near ell = |core|: on the same
+# host 17303 partitions in 0.3 s for core -10, 143365 in 3 s for core -12 and
+# 414584 in 10 s for core -13.  A core with index m takes at most 2|m| + 1
+# nodes of its color, so no larger ell has a result.
 # fock-check prints the same addition set twice, with a coefficient each, so
 # it shares these limits; its slowest admitted inputs, core -10 at ell 11 to
 # 13, take about 2 s each on the same host.
@@ -129,7 +130,7 @@ def cmd_core(ns):
 
 
 def _bounded_strict(text):
-    """Strict partition argument of quotient or abacus, refusing a large part."""
+    """Strict partition argument of quotient, abacus or sign, refusing a large part."""
     lam = _partition(text, strict=True)
     top = max(lam.parts, default=0)
     _check_limit(f"largest part {top}", top, 4 * MAX_CORE_INDEX)
@@ -171,7 +172,7 @@ def cmd_enumerate(ns):
 
 
 def cmd_sign(ns):
-    value = delta_sign(_partition(ns.partition, strict=True), ns.core)
+    value = delta_sign(_bounded_strict(ns.partition), ns.core)
     print(f"{value:+d}")
     return 0
 
@@ -203,19 +204,14 @@ def cmd_expand(ns):
     _check_rect(i, m, ns.n)
     total, terms = lhs(CASES[i], m, ns.n)
     if ns.json:
-        print(
-            json.dumps(
-                {
-                    "case": CASES[i],
-                    "m": m,
-                    "n": ns.n,
-                    "terms": [
-                        {**_term_record(t), "value": t.value.to_json_obj()} for t in terms
-                    ],
-                    "total": total.to_json_obj(),
-                }
-            )
-        )
+        # Written piece by piece, one term's value at a time, and byte for byte
+        # the json.dumps of the whole object.
+        head = json.dumps({"case": CASES[i], "m": m, "n": ns.n})
+        print(head[:-1] + ', "terms": [', end="")
+        for k, t in enumerate(terms):
+            record = {**_term_record(t), "value": t.value.to_json_obj()}
+            print(", " if k else "", json.dumps(record), sep="", end="")
+        print('], "total": ' + json.dumps(total.to_json_obj()) + "}")
     else:
         for t in terms:
             mark = "+" if t.sign > 0 else "-"

@@ -1,5 +1,8 @@
 """States indexed by strict partitions over Q(sqrt 2), with the raising action.
 
+A FockVector built from (state, coefficient) pairs sums them into one dict and
+drops zeros once at the end; it is the one accumulator for states.
+
 The elementary operator with index i > 0 turns a part i into i+1 when i is
 present and i+1 is not.  The index 0 operator adds a new part 1, with
 coefficient 1/2 when the partition has an odd number of parts (the state then
@@ -28,26 +31,11 @@ hold the path counts to.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .partitions import StrictPartition, add_set, bar_core, check_color, color
 from .polyring import as_fraction
-
-
-def accumulate(acc, items):
-    """Add coeff into acc[key] for each (key, coeff) of items, in place.
-
-    Keys whose coefficient becomes zero are dropped, so acc stays sparse.
-    Returns acc.
-    """
-    for key, coeff in items:
-        old = acc.get(key)
-        new = coeff if old is None else old + coeff
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 class Sqrt2Scalar:
@@ -132,18 +120,27 @@ class Sqrt2Scalar:
         return f"{self.a}{joiner}{root}"
 
 
+_ZERO = Sqrt2Scalar()
+_SQRT2 = Sqrt2Scalar(0, 1)
+
+
 class FockVector:
-    """Finite combination of strict partition states with Sqrt2Scalar weights."""
+    """Finite combination of strict partition states with Sqrt2Scalar weights.
+
+    Built from a dict or from (state, coefficient) pairs: the coefficients of
+    a repeated state add up, and states whose sum is zero are dropped once,
+    after every pair is in.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
+        items = entries.items() if isinstance(entries, dict) else entries or ()
         d = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
+        for lam, coeff in items:
             # Adding to zero coerces int and Fraction and raises TypeError otherwise.
-            accumulate(d, ((lam, Sqrt2Scalar() + coeff) for lam, coeff in items))
-        self.entries = d
+            d[lam] = d.get(lam, _ZERO) + coeff
+        self.entries = {lam: coeff for lam, coeff in d.items() if coeff}
 
     @classmethod
     def zero(cls):
@@ -172,9 +169,7 @@ class FockVector:
     def __add__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        out = FockVector()
-        out.entries = accumulate(dict(self.entries), other.entries.items())
-        return out
+        return FockVector(chain(self.entries.items(), other.entries.items()))
 
     def scale(self, factor):
         factor = Sqrt2Scalar._coerce(factor)
@@ -205,9 +200,6 @@ def f_inf(i, lam):
     return FockVector.basis(StrictPartition(raised))
 
 
-_SQRT2 = Sqrt2Scalar(0, 1)
-
-
 def _residues(i):
     """Residues mod 4 of the parts a color i step raises: part p fills column p + 1."""
     return tuple(r for r in range(4) if color(r + 1) == i)
@@ -218,14 +210,16 @@ def f_chev(i, v):
     elementary operators whose index lies in color class i."""
     check_color(i)
     residues = _residues(i)
-    out = FockVector()
-    for lam, coeff in v.entries.items():
-        indices = [p for p in lam.parts if p % 4 in residues]
-        if i == 0:
-            indices.append(0)
-        for k in indices:
-            accumulate(out.entries, f_inf(k, lam).scale(coeff * _SQRT2).entries.items())
-    return out
+
+    def steps():
+        for lam, coeff in v.entries.items():
+            indices = [p for p in lam.parts if p % 4 in residues]
+            if i == 0:
+                indices.append(0)
+            for k in indices:
+                yield from f_inf(k, lam).scale(coeff * _SQRT2).entries.items()
+
+    return FockVector(steps())
 
 
 def a_count(lam):

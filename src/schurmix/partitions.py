@@ -124,7 +124,8 @@ def add_set(lam, i, ell):
 
     A result mu contains lam row by row, has weight |lam| + ell, and every node
     of mu outside lam sits in a column of color i.  New rows below lam are
-    allowed.  Results come in decreasing lexicographic order of parts.
+    allowed.  Results are yielded one at a time, each once, in decreasing
+    lexicographic order of parts; the arguments are checked at the call.
     """
     check_color(i)
     if ell < 0:
@@ -132,17 +133,28 @@ def add_set(lam, i, ell):
     # Column colors run 0, 1, 1, 0, 0, 1, 1, ...: a row gains at most two
     # nodes of one color, and only color 0 opens a new row, of length 1.
     if ell > 2 * len(lam.parts) + 1:
-        return []
-    bases = lam.parts + (0,) * min(ell, 1)
-    found = set()
+        return iter(())
+    return _grow(lam.parts + (0,) * min(ell, 1), i, ell)
 
-    def grow(row, prev, budget, acc):
+
+def _grow(bases, i, ell):
+    """Row-by-row search behind add_set.
+
+    The stack holds partial results, the rows filled so far and the nodes
+    left.  A row's fills are pushed smallest first, so the largest is popped
+    first and results come out in decreasing lexicographic order.
+    """
+    stack = [((), ell)]
+    while stack:
+        acc, budget = stack.pop()
+        row = len(acc)
         if budget == 0:
-            found.add(acc + tuple(b for b in bases[row:] if b))
-            return
+            yield StrictPartition(acc + tuple(b for b in bases[row:] if b))
+            continue
         if row == len(bases):
-            return
+            continue
         base = bases[row]
+        prev = acc[-1] if acc else None
         for r in range(budget + 1):
             value = base + r
             if r and color(value) != i:
@@ -150,9 +162,6 @@ def add_set(lam, i, ell):
             if prev is not None and value >= prev:
                 break
             if value:
-                grow(row + 1, value, budget - r, acc + (value,))
+                stack.append((acc + (value,), budget - r))
             # value 0 is an unfilled fresh row; filling a later fresh row
-            # instead would repeat the same partition, so do not recurse.
-
-    grow(0, None, ell, ())
-    return [StrictPartition(parts) for parts in sorted(found, reverse=True)]
+            # instead would repeat the same partition, so do not push it.

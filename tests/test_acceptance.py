@@ -172,6 +172,6 @@ def test_acceptance_8_divided_power_lemma():
 def test_acceptance_9_addition_sets_empty_beyond_window():
     ok = True
     for m in range(1, 6):
-        ok &= add_set(bar_core(m), 1, 2 * m + 1) == []
-        ok &= add_set(bar_core(-m), 0, 2 * m + 2) == []
+        ok &= list(add_set(bar_core(m), 1, 2 * m + 1)) == []
+        ok &= list(add_set(bar_core(-m), 0, 2 * m + 2)) == []
     report(9, ok, "addition sets vanish past the window, 1 <= m <= 5")

@@ -6,7 +6,6 @@ from schurmix.barquot import (
     abacus,
     delta_sign,
     inverse_quotient,
-    maya,
     quotient,
 )
 from schurmix.partitions import Partition, StrictPartition, bar_core
@@ -39,13 +38,6 @@ def test_quotient_small_cases():
     assert (tri.charge, tri.q0.parts, tri.q1.parts) == (1, (5, 3), ())
     tri = quotient(StrictPartition((9, 6, 2)))
     assert (tri.charge, tri.q0.parts, tri.q1.parts) == (1, (3, 1), (2,))
-
-
-def test_maya_prefix_is_minimal():
-    md = maya(StrictPartition((11, 9, 6, 2, 1)))
-    assert md.charge == 1
-    assert md.prefix == (2, 0, -1, -2)
-    assert maya(StrictPartition()).prefix == ()
 
 
 def test_inverse_worked_example():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import schurmix
 import schurmix.cli as cli
-from schurmix.mixed import VerificationReport
+from schurmix.mixed import VerificationReport, lhs
 from schurmix.partitions import bar_core
 from schurmix.polyring import Polynomial
 
@@ -131,6 +131,31 @@ def test_expand_json(capsys):
     assert first["q1"] == "1,1,1,1"
     assert first["value"]["terms"]
     assert data["total"]["terms"][0] == {"coeff": "1/2880", "mono": {"1": "8"}}
+
+
+def test_expand_json_streams_the_whole_object(capsys):
+    # expand --json writes one term at a time; the bytes match one json.dumps
+    total, terms = lhs("zero", 3, 4)
+    whole = {
+        "case": "zero",
+        "m": 3,
+        "n": 4,
+        "terms": [
+            {
+                "mu": t.mu.to_text(),
+                "sign": t.sign,
+                "q0": t.q_index.to_text(),
+                "q1": t.s_index.to_text(),
+                "value": t.value.to_json_obj(),
+            }
+            for t in terms
+        ],
+        "total": total.to_json_obj(),
+    }
+    code, out, _ = run_cli(capsys, "expand", "--case", "zero", "--m", "3", "--n", "4", "--json")
+    assert code == 0
+    assert len(terms) > 1
+    assert out == json.dumps(whole) + "\n"
 
 
 def test_verify_command(capsys):
@@ -261,13 +286,15 @@ def test_oversized_fock_check_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_oversized_quotient_inverse_and_abacus_are_usage_errors(capsys, monkeypatch):
-    for name in ("quotient", "inverse_quotient", "abacus"):
+    for name in ("quotient", "inverse_quotient", "abacus", "delta_sign"):
         monkeypatch.setattr(cli, name, _refuse_to_build)
     top = 4 * cli.MAX_CORE_INDEX
     oversized = [
         (["quotient", "12000003"], top),
         (["quotient", f"{top + 1},2"], top),
         (["abacus", str(top + 2), "--core", "0"], top),
+        (["sign", f"{top + 1},2", "--core", "0"], top),
+        (["sign", ",".join(map(str, range(18000, 0, -1))), "--core", "0"], top),
         (["inverse", "--charge", "3000000"], cli.MAX_CORE_INDEX),
         (["inverse", "--charge", str(-cli.MAX_CORE_INDEX - 1), "--q0", "3,1"], cli.MAX_CORE_INDEX),
     ]
@@ -287,6 +314,8 @@ def test_quotient_inverse_and_abacus_limits_lose_no_core(capsys):
         assert code == 0 and out.splitlines()[0] == f"charge: {charge}"
     code, out, _ = run_cli(capsys, "abacus", str(4 * cli.MAX_CORE_INDEX), "--core", "0")
     assert code == 0 and f"[{4 * cli.MAX_CORE_INDEX}]" in out
+    code, out, _ = run_cli(capsys, "sign", str(4 * cli.MAX_CORE_INDEX), "--core", "0")
+    assert code == 0 and out == "+1\n"
 
 
 def test_core_and_enumerate_limits_lose_no_result(capsys):

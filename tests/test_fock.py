@@ -67,6 +67,16 @@ def test_fock_vector_algebra():
     assert FockVector({state(2): 1, state(3): 1}).support() == [state(3), state(2)]
 
 
+def test_fock_vector_sums_repeated_states():
+    s, t = state(3, 1), state(4)
+    v = FockVector([(s, 1), (s, -1), (t, SQRT2), (t, SQRT2)])
+    assert v == FockVector({t: Sqrt2Scalar(0, 2)})
+    assert s not in v.entries
+    # a state that cancels and comes back keeps its later coefficient
+    assert FockVector([(s, 1), (s, -1), (s, Fraction(1, 2))]).entries == {s: Fraction(1, 2)}
+    assert FockVector([(s, 1), (s, -1)]).is_zero
+
+
 def test_f_inf_positive_index():
     assert f_inf(3, state(7, 3)) == FockVector.basis(state(7, 4))
     assert f_inf(7, state(7, 3)) == FockVector.basis(state(8, 3))

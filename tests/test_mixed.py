@@ -82,7 +82,7 @@ def test_term_count_matches_add_set():
         color = 1 if case == "one" else 0
         core = bar_core(m if case == "one" else -m)
         _, terms = lhs(case, m, n)
-        assert len(terms) == len(add_set(core, color, n))
+        assert len(terms) == len(list(add_set(core, color, n)))
 
 
 def test_terms_are_homogeneous_of_rectangle_weight():
