@@ -54,13 +54,9 @@ MAX_ENUMERATE_CORE = 10
 MAX_ENUMERATE_ELL = 2 * MAX_ENUMERATE_CORE + 1
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _partition(text, strict=False):
@@ -368,9 +364,6 @@ def main(argv=None):
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,20 +1,20 @@
-"""States indexed by strict partitions over Q(sqrt 2), with the raising action.
+"""States indexed by strict partitions, the raising action, and the divided power lemma.
 
-A FockVector built from (state, coefficient) pairs sums them into one dict and
-drops zeros once at the end; it is the one accumulator for states.
-
-The elementary operator with index i > 0 turns a part i into i+1 when i is
-present and i+1 is not.  The index 0 operator adds a new part 1, with
-coefficient 1/2 when the partition has an odd number of parts (the state then
-carries an implicit zero pad) and 1 otherwise.  The two coarse operators
-bundle the elementary ones by column color and carry a factor sqrt 2:
+A vector is a plain dict {StrictPartition: coefficient}.  The elementary
+operator with index i > 0 turns a part i into i+1 when i is present and i+1 is
+not.  The index 0 operator adds a new part 1, with coefficient 1/2 when the
+partition has an odd number of parts (the state then carries an implicit zero
+pad) and 1 otherwise.  The two coarse operators bundle the elementary ones by
+column color and carry a factor sqrt 2:
 
     color 0 uses indices 0, 3, 4, 7, 8, 11, ...
     color 1 uses indices 1, 2, 5, 6, 9, 10, ...
 
 Applying the color i operator ell times to a core state and dividing by ell!
 spreads the state over the color i addition set with sqrt 2 powers as
-coefficients; :func:`lemma_co_check` verifies that expansion exactly.
+coefficients; :func:`lemma_co_check` verifies that expansion exactly.  Every
+coefficient on either side is a rational times sqrt2^0 or sqrt2^1, held as a
+:class:`Sqrt2Power`.
 
 :func:`lemma_co_sides` computes the divided power on integer path counts, not
 by applying :func:`f_chev` ell times.  Every index 0 step adds one row, so a
@@ -24,180 +24,57 @@ or 2 (even length) makes N(lam), the weighted number of paths, an int, and
 
     f_i^ell / ell! |core> = sum over lam of sqrt2^ell * N(lam) / (ell! * 2^r) |lam>.
 
-f_inf and f_chev apply the operators step by step, the reference the tests
-hold the path counts to.
+f_inf and f_chev apply the operators step by step on {state: Fraction} dicts,
+the reference the tests hold the path counts to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import factorial
+from typing import NamedTuple
 
 from .partitions import StrictPartition, add_set, bar_core, check_color, color
 from .polyring import as_fraction
 
 
-class Sqrt2Scalar:
-    """Number a + b*sqrt(2) with rational a and b, exact under + and *.
+class Sqrt2Power(NamedTuple):
+    """Nonzero number c * sqrt2^e with rational c and e in {0, 1}."""
 
-    a and b must be int or Fraction; anything else is a TypeError.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = as_fraction(a)
-        self.b = as_fraction(b)
+    c: Fraction
+    e: int
 
     @classmethod
-    def sqrt2_pow(cls, k):
-        """sqrt(2)^k for any integer k, negative powers included."""
-        half, odd = divmod(k, 2)
-        base = Fraction(2) ** half
-        return cls(0, base) if odd else cls(base, 0)
-
-    @property
-    def is_zero(self):
-        return not self.a and not self.b
-
-    def __bool__(self):
-        return not self.is_zero
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Sqrt2Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Sqrt2Scalar(value)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Scalar(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt2Scalar(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Scalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Sqrt2Scalar({self.a}, {self.b})"
+    def of(cls, c, k):
+        """c * sqrt2^k for any integer k, negative powers included; c is an
+        int or a Fraction, anything else is a TypeError."""
+        half, e = divmod(k, 2)
+        return cls(as_fraction(c) * Fraction(2) ** half, e)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        if not self.b:
-            return str(self.a)
-        if self.b == 1:
-            root = "sqrt2"
-        elif self.b == -1:
-            root = "-sqrt2"
-        else:
-            root = f"{self.b}*sqrt2"
-        if not self.a:
-            return root
-        joiner = "+" if self.b > 0 else ""
-        return f"{self.a}{joiner}{root}"
-
-
-_ZERO = Sqrt2Scalar()
-_SQRT2 = Sqrt2Scalar(0, 1)
-
-
-class FockVector:
-    """Finite combination of strict partition states with Sqrt2Scalar weights.
-
-    Built from a dict or from (state, coefficient) pairs: the coefficients of
-    a repeated state add up, and states whose sum is zero are dropped once,
-    after every pair is in.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        items = entries.items() if isinstance(entries, dict) else entries or ()
-        d = {}
-        for lam, coeff in items:
-            # Adding to zero coerces int and Fraction and raises TypeError otherwise.
-            d[lam] = d.get(lam, _ZERO) + coeff
-        self.entries = {lam: coeff for lam, coeff in d.items() if coeff}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def basis(cls, lam):
-        return cls({lam: Sqrt2Scalar(1)})
-
-    @property
-    def is_zero(self):
-        return not self.entries
-
-    def support(self):
-        """States with nonzero weight, decreasing lexicographic."""
-        return sorted(self.entries, key=lambda lam: lam.parts, reverse=True)
-
-    def items(self):
-        return [(lam, self.entries[lam]) for lam in self.support()]
-
-    def __eq__(self, other):
-        if isinstance(other, FockVector):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return FockVector(chain(self.entries.items(), other.entries.items()))
-
-    def scale(self, factor):
-        factor = Sqrt2Scalar._coerce(factor)
-        if factor is None or factor.is_zero:
-            return FockVector.zero()
-        out = FockVector()
-        out.entries = {lam: coeff * factor for lam, coeff in self.entries.items()}
-        return out
-
-    def __repr__(self):
-        body = " + ".join(f"({c})|{lam}>" for lam, c in self.items()) or "0"
-        return f"<FockVector {body}>"
+        if not self.e:
+            return str(self.c)
+        if self.c == 1:
+            return "sqrt2"
+        if self.c == -1:
+            return "-sqrt2"
+        return f"{self.c}*sqrt2"
 
 
 def f_inf(i, lam):
-    """Elementary raising operator with index i >= 0 on a basis state."""
+    """Elementary raising operator with index i >= 0 on a basis state, as {state: Fraction}."""
     if i < 0:
         raise ValueError(f"operator index must be >= 0, got {i}")
     parts = lam.parts
     if i == 0:
         if 1 in parts:
-            return FockVector.zero()
+            return {}
         weight = Fraction(1, 2) if len(parts) % 2 else Fraction(1)
-        return FockVector({StrictPartition(parts + (1,)): weight})
+        return {StrictPartition(parts + (1,)): weight}
     if i not in parts or (i + 1) in parts:
-        return FockVector.zero()
+        return {}
     raised = tuple(sorted((set(parts) - {i}) | {i + 1}, reverse=True))
-    return FockVector.basis(StrictPartition(raised))
+    return {StrictPartition(raised): Fraction(1)}
 
 
 def _residues(i):
@@ -206,20 +83,20 @@ def _residues(i):
 
 
 def f_chev(i, v):
-    """Color i raising operator on a vector: sqrt 2 times the sum of the
-    elementary operators whose index lies in color class i."""
+    """Color i raising operator on a {state: Fraction} vector, without its
+    overall factor sqrt 2: the sum of the elementary operators whose index lies
+    in color class i.  The caller applies sqrt2^ell after ell steps."""
     check_color(i)
     residues = _residues(i)
-
-    def steps():
-        for lam, coeff in v.entries.items():
-            indices = [p for p in lam.parts if p % 4 in residues]
-            if i == 0:
-                indices.append(0)
-            for k in indices:
-                yield from f_inf(k, lam).scale(coeff * _SQRT2).entries.items()
-
-    return FockVector(steps())
+    out = {}
+    for lam, coeff in v.items():
+        indices = [p for p in lam.parts if p % 4 in residues]
+        if i == 0:
+            indices.append(0)
+        for k in indices:
+            for mu, weight in f_inf(k, lam).items():
+                out[mu] = out.get(mu, 0) + coeff * weight
+    return {mu: c for mu, c in out.items() if c}
 
 
 def a_count(lam):
@@ -255,24 +132,24 @@ def _path_counts(i, core, ell):
 
 
 def lemma_co_sides(i, core_index, ell):
-    """Divided power side and weighted sum side of the core expansion."""
+    """Divided power side and weighted sum side of the core expansion.
+
+    Each side is a {StrictPartition: Sqrt2Power} dict in decreasing
+    lexicographic order of parts.
+    """
     check_color(i, core_index)
     if ell < 0:
         raise ValueError(f"power must be >= 0, got {ell}")
     core = bar_core(core_index)
     half, odd = divmod(ell, 2)
     denominator = factorial(ell)
-    left = FockVector()
-    for parts, count in _path_counts(i, core.parts, ell).items():
+    left = {}
+    for parts, count in sorted(_path_counts(i, core.parts, ell).items(), reverse=True):
         scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
-        coeff = Sqrt2Scalar(0, scale) if odd else Sqrt2Scalar(scale)
-        left.entries[StrictPartition(parts)] = coeff
-    # add_set yields distinct states and a power of sqrt 2 is never 0, so the
-    # entries go in as they are, without FockVector's coercion.
+        left[StrictPartition(parts)] = Sqrt2Power(scale, odd)
+    # add_set yields distinct states in decreasing lexicographic order already.
     eps = core_index % 2
-    right = FockVector()
-    for lam in add_set(core, i, ell):
-        right.entries[lam] = Sqrt2Scalar.sqrt2_pow(a_count(lam) - eps)
+    right = {lam: Sqrt2Power.of(1, a_count(lam) - eps) for lam in add_set(core, i, ell)}
     return left, right
 
 

@@ -142,8 +142,16 @@ def _grow(bases, i, ell):
 
     The stack holds partial results, the rows filled so far and the nodes
     left.  A row's fills are pushed smallest first, so the largest is popped
-    first and results come out in decreasing lexicographic order.
+    first and results come out in decreasing lexicographic order.  cap[row] is
+    the most color i nodes the rows from row down can take, two at most per
+    row, so a partial result that needs more is dropped at once.
     """
+    cap = [0] * (len(bases) + 1)
+    for row in range(len(bases) - 1, -1, -1):
+        g = 0
+        while g < 2 and color(bases[row] + g + 1) == i:
+            g += 1
+        cap[row] = cap[row + 1] + g
     stack = [((), ell)]
     while stack:
         acc, budget = stack.pop()
@@ -151,7 +159,7 @@ def _grow(bases, i, ell):
         if budget == 0:
             yield StrictPartition(acc + tuple(b for b in bases[row:] if b))
             continue
-        if row == len(bases):
+        if budget > cap[row]:
             continue
         base = bases[row]
         prev = acc[-1] if acc else None

@@ -162,7 +162,7 @@ def test_acceptance_8_divided_power_lemma():
                 ok &= lemma_co_check(i, core_index, ell)
                 left, _ = lemma_co_sides(i, core_index, ell)
                 expected = {mu.parts for mu in add_set(bar_core(core_index), i, ell)}
-                ok &= {lam.parts for lam in left.support()} == expected
+                ok &= {lam.parts for lam in left} == expected
                 checks += 1
     elapsed = time.monotonic() - start
     ok &= elapsed < 30.0

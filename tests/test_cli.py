@@ -345,6 +345,16 @@ def test_weight_limit_admits_benchmark_calls(capsys, monkeypatch):
     assert run_cli(capsys, "schur-s", ",".join(["1"] * cli.MAX_WEIGHT))[0] == 0
 
 
+def test_largest_empty_rectangles_verify_quickly(capsys):
+    # Both addition sets sit at the top of a window of 2001 or 2002 nodes; the
+    # unpruned search did not finish such calls from m = 18 on.
+    for case, n, rectangle in (("one", "2000", "0x2000"), ("zero", "2001", "2001x0")):
+        code, out, _ = run_cli(capsys, "verify", "--case", case, "--m", "1000", "--n", n)
+        assert code == 0
+        assert f"rectangle: {rectangle}\n" in out
+        assert out.endswith("terms: 1\nequal: true\n")
+
+
 def test_module_entry_point():
     src = str(Path(schurmix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

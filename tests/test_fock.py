@@ -4,8 +4,7 @@ from math import factorial
 import pytest
 
 from schurmix.fock import (
-    FockVector,
-    Sqrt2Scalar,
+    Sqrt2Power,
     a_count,
     f_chev,
     f_inf,
@@ -14,106 +13,96 @@ from schurmix.fock import (
 )
 from schurmix.partitions import StrictPartition, add_set, bar_core
 
-SQRT2 = Sqrt2Scalar(0, 1)
+SQRT2 = Sqrt2Power(Fraction(1), 1)
 
 
 def state(*parts):
     return StrictPartition(parts)
 
 
-def test_sqrt2_scalar_field():
-    x = Sqrt2Scalar(1, 1)
-    y = Sqrt2Scalar(1, -1)
-    assert x * y == -1
-    assert x + y == 2
-    assert SQRT2 * SQRT2 == 2
-    assert (x + -x).is_zero
-    assert not Sqrt2Scalar(0, 0)
-    assert Sqrt2Scalar(0, 1)
-    # components are exact: int or Fraction, never float
-    with pytest.raises(TypeError):
-        Sqrt2Scalar(0.5)
-    with pytest.raises(TypeError):
-        Sqrt2Scalar(1, 0.5)
-    with pytest.raises(TypeError):
-        FockVector({state(1): 0.5})
+def combine(*vectors):
+    """Sum of {state: Fraction} vectors, zeros dropped."""
+    out = {}
+    for v in vectors:
+        for lam, c in v.items():
+            out[lam] = out.get(lam, 0) + c
+    return {lam: c for lam, c in out.items() if c}
 
 
 def test_sqrt2_powers():
-    assert Sqrt2Scalar.sqrt2_pow(0) == 1
-    assert Sqrt2Scalar.sqrt2_pow(1) == SQRT2
-    assert Sqrt2Scalar.sqrt2_pow(2) == 2
-    assert Sqrt2Scalar.sqrt2_pow(3) == Sqrt2Scalar(0, 2)
-    assert Sqrt2Scalar.sqrt2_pow(-1) == Sqrt2Scalar(0, Fraction(1, 2))
-    assert Sqrt2Scalar.sqrt2_pow(-2) == Fraction(1, 2)
+    assert Sqrt2Power.of(1, 0) == Sqrt2Power(Fraction(1), 0)
+    assert Sqrt2Power.of(1, 1) == SQRT2
+    assert Sqrt2Power.of(1, 2) == Sqrt2Power(Fraction(2), 0)
+    assert Sqrt2Power.of(1, 3) == Sqrt2Power(Fraction(2), 1)
+    assert Sqrt2Power.of(1, -1) == Sqrt2Power(Fraction(1, 2), 1)
+    assert Sqrt2Power.of(1, -2) == Sqrt2Power(Fraction(1, 2), 0)
+    assert Sqrt2Power.of(Fraction(3, 4), -3) == Sqrt2Power(Fraction(3, 16), 1)
+    assert Sqrt2Power.of(-1, 5) == Sqrt2Power(Fraction(-4), 1)
+    # the coefficient is exact: int or Fraction, never float
+    with pytest.raises(TypeError):
+        Sqrt2Power.of(0.5, 1)
 
 
 def test_sqrt2_str():
-    assert str(Sqrt2Scalar()) == "0"
-    assert str(Sqrt2Scalar(Fraction(3, 2))) == "3/2"
+    assert str(Sqrt2Power(Fraction(3, 2), 0)) == "3/2"
     assert str(SQRT2) == "sqrt2"
-    assert str(Sqrt2Scalar(0, -1)) == "-sqrt2"
-    assert str(Sqrt2Scalar(0, Fraction(1, 2))) == "1/2*sqrt2"
-    assert str(Sqrt2Scalar(1, 1)) == "1+sqrt2"
-    assert str(Sqrt2Scalar(1, -2)) == "1-2*sqrt2"
+    assert str(Sqrt2Power(Fraction(-1), 1)) == "-sqrt2"
+    assert str(Sqrt2Power(Fraction(1, 2), 1)) == "1/2*sqrt2"
+    assert str(Sqrt2Power(Fraction(-2), 1)) == "-2*sqrt2"
+    assert str(Sqrt2Power.of(1, 4)) == "4"
 
 
-def test_fock_vector_algebra():
-    v = FockVector.basis(state(3, 1))
-    w = v.scale(SQRT2) + v.scale(SQRT2)
-    assert w == v.scale(Sqrt2Scalar(0, 2))
-    assert (v + v.scale(-1)).is_zero
-    assert v.scale(0).is_zero
-    assert FockVector({state(2): 1, state(3): 1}).support() == [state(3), state(2)]
-
-
-def test_fock_vector_sums_repeated_states():
-    s, t = state(3, 1), state(4)
-    v = FockVector([(s, 1), (s, -1), (t, SQRT2), (t, SQRT2)])
-    assert v == FockVector({t: Sqrt2Scalar(0, 2)})
-    assert s not in v.entries
-    # a state that cancels and comes back keeps its later coefficient
-    assert FockVector([(s, 1), (s, -1), (s, Fraction(1, 2))]).entries == {s: Fraction(1, 2)}
-    assert FockVector([(s, 1), (s, -1)]).is_zero
+def test_sides_differing_only_in_parity_are_unequal():
+    left, right = lemma_co_sides(0, -2, 1)
+    assert left == right
+    lam = next(iter(right))
+    flipped = dict(right)
+    flipped[lam] = Sqrt2Power(right[lam].c, 1 - right[lam].e)
+    assert flipped[lam].c == left[lam].c
+    assert left != flipped
 
 
 def test_f_inf_positive_index():
-    assert f_inf(3, state(7, 3)) == FockVector.basis(state(7, 4))
-    assert f_inf(7, state(7, 3)) == FockVector.basis(state(8, 3))
-    assert f_inf(3, state(4, 3)).is_zero
-    assert f_inf(5, state(7, 3)).is_zero
+    assert f_inf(3, state(7, 3)) == {state(7, 4): 1}
+    assert f_inf(7, state(7, 3)) == {state(8, 3): 1}
+    assert not f_inf(3, state(4, 3))
+    assert not f_inf(5, state(7, 3))
     with pytest.raises(ValueError):
         f_inf(-1, state())
 
 
 def test_f_inf_index_zero():
-    assert f_inf(0, state(5)) == FockVector({state(5, 1): Fraction(1, 2)})
-    assert f_inf(0, state()) == FockVector.basis(state(1))
-    assert f_inf(0, state(5, 2)) == FockVector.basis(state(5, 2, 1))
-    assert f_inf(0, state(5, 1)).is_zero
+    assert f_inf(0, state(5)) == {state(5, 1): Fraction(1, 2)}
+    assert f_inf(0, state()) == {state(1): 1}
+    assert f_inf(0, state(5, 2)) == {state(5, 2, 1): 1}
+    assert not f_inf(0, state(5, 1))
 
 
 def test_f_chev_worked_example():
-    got = f_chev(0, FockVector.basis(bar_core(-2)))
-    expected = FockVector(
-        {state(8, 3): SQRT2, state(7, 4): SQRT2, state(7, 3, 1): SQRT2}
-    )
-    assert got == expected
+    # f_chev leaves out the overall sqrt 2 of the color operator.
+    got = f_chev(0, {bar_core(-2): Fraction(1)})
+    assert got == {state(8, 3): 1, state(7, 4): 1, state(7, 3, 1): 1}
 
 
 def test_f_chev_small_cases():
-    assert f_chev(1, FockVector.basis(state())).is_zero
-    assert f_chev(1, FockVector.basis(state(1))) == FockVector({state(2): SQRT2})
+    assert not f_chev(1, {state(): Fraction(1)})
+    assert f_chev(1, {state(1): Fraction(1)}) == {state(2): 1}
     with pytest.raises(ValueError):
-        f_chev(2, FockVector.basis(state()))
+        f_chev(2, {state(): Fraction(1)})
+
+
+def test_f_chev_drops_cancelled_states():
+    # (4) and (3,1) both reach (4,1), with weights 1/2 and 1
+    assert f_chev(0, {state(4): Fraction(2), state(3, 1): Fraction(-1)}) == {state(5): 2}
 
 
 def test_f_chev_is_linear():
-    v = FockVector({state(3): Sqrt2Scalar(1, 1), state(4): Fraction(1, 2)})
-    w = FockVector({state(4): SQRT2})
+    v = {state(3): Fraction(3), state(4): Fraction(1, 2)}
+    w = {state(4): Fraction(-1, 2), state(3, 1): Fraction(2)}
     for i in (0, 1):
-        assert f_chev(i, v + w) == f_chev(i, v) + f_chev(i, w)
-        assert f_chev(i, v.scale(SQRT2)) == f_chev(i, v).scale(SQRT2)
+        assert f_chev(i, combine(v, w)) == combine(f_chev(i, v), f_chev(i, w))
+        tripled = {lam: 3 * c for lam, c in v.items()}
+        assert f_chev(i, tripled) == {lam: 3 * c for lam, c in f_chev(i, v).items()}
 
 
 def test_a_count_includes_zero_pad():
@@ -132,13 +121,14 @@ def test_lemma_fixture_cases():
 def test_lemma_sides_shape():
     left, right = lemma_co_sides(0, -2, 1)
     assert left == right
-    assert {lam.parts for lam in left.support()} == {(8, 3), (7, 4), (7, 3, 1)}
-    assert all(c == SQRT2 for _, c in left.items())
+    assert [lam.parts for lam in left] == [(8, 3), (7, 4), (7, 3, 1)]
+    assert list(right) == list(left)
+    assert all(c == SQRT2 for c in left.values())
 
 
 def test_lemma_beyond_window_is_zero():
     left, right = lemma_co_sides(1, 1, 3)
-    assert left.is_zero and right.is_zero
+    assert not left and not right
     assert lemma_co_check(1, 1, 3)
 
 
@@ -163,9 +153,8 @@ def test_coefficient_shape_is_positive_sqrt2_power():
             window = 2 * m + (1 if i == 0 else 0)
             for ell in range(window + 1):
                 left, _ = lemma_co_sides(i, core_index, ell)
-                for _, coeff in left.items():
-                    assert (coeff.a == 0) != (coeff.b == 0)
-                    assert coeff.a > 0 or coeff.b > 0
+                for coeff in left.values():
+                    assert coeff.c > 0 and coeff.e == ell % 2
 
 
 def test_support_equals_add_set():
@@ -176,23 +165,28 @@ def test_support_equals_add_set():
             for ell in range(window + 2):
                 left, _ = lemma_co_sides(i, core_index, ell)
                 expected = {mu.parts for mu in add_set(bar_core(core_index), i, ell)}
-                assert {lam.parts for lam in left.support()} == expected
+                assert {lam.parts for lam in left} == expected
 
 
 def test_path_counts_match_f_chev_oracle():
-    # The step-by-step f_chev expansion, divided by ell!, is the reference for
-    # the path-count divided power side, coefficient by coefficient.
+    # The step-by-step f_chev expansion, times sqrt2^ell and divided by ell!,
+    # is the reference for the path-count divided power side, coefficient by
+    # coefficient, and both sides come in decreasing lexicographic order.
     for core_index in range(-4, 5):
         colors = (0, 1) if core_index == 0 else ((1,) if core_index > 0 else (0,))
         for i in colors:
             window = 2 * abs(core_index) + (1 if i == 0 else 0)
-            expected = FockVector.basis(bar_core(core_index))
+            expected = {bar_core(core_index): Fraction(1)}
             for ell in range(window + 2):
                 if ell:
                     expected = f_chev(i, expected)
-                oracle = expected.scale(Fraction(1, factorial(ell)))
+                oracle = {
+                    lam: Sqrt2Power.of(expected[lam] / factorial(ell), ell)
+                    for lam in sorted(expected, key=lambda lam: lam.parts, reverse=True)
+                }
                 left, right = lemma_co_sides(i, core_index, ell)
                 assert left == oracle, (i, core_index, ell)
                 shown = [(lam.parts, str(c)) for lam, c in left.items()]
                 assert shown == [(lam.parts, str(c)) for lam, c in oracle.items()]
                 assert left == right
+                assert list(right) == list(left)

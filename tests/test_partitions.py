@@ -174,6 +174,39 @@ def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
     assert list(add_set(StrictPartition(), 0, 2)) == []
 
 
+def test_add_set_near_the_top_of_the_window_cannot_hang(monkeypatch):
+    # Without pruning by what the rows below can still take, core 14 at the
+    # top of its window visits about 3^14 partial rows.
+    real_color = partitions.color
+    calls = 0
+
+    def counted(j):
+        nonlocal calls
+        calls += 1
+        if calls > 10**5:
+            raise AssertionError("add_set searched far past its results")
+        return real_color(j)
+
+    monkeypatch.setattr(partitions, "color", counted)
+    # At the top every row takes two nodes; one below it, one row takes one
+    # node fewer, or (color 0) the new row of length 1 stays empty.
+    for core_index, i, ell, count in (
+        (14, 1, 28, 1),
+        (14, 1, 27, 14),
+        (-14, 0, 29, 1),
+        (-14, 0, 28, 15),
+    ):
+        core = bar_core(core_index)
+        got = list(add_set(core, i, ell))
+        assert len(got) == count
+        assert got == sorted(set(got), key=lambda mu: mu.parts, reverse=True)
+        for mu in got:
+            assert mu.weight == core.weight + ell
+            padded = core.parts + (0,) * (len(mu) - len(core))
+            for base, part in zip(padded, mu.parts):
+                assert all(real_color(col) == i for col in range(base + 1, part + 1))
+
+
 def test_add_set_rejects_bad_arguments():
     lam = StrictPartition((3, 1))
     with pytest.raises(ValueError):
