@@ -64,21 +64,39 @@ def quotient(lam):
     are all j < 0 except -k-1 for each part 4k+3.  The charge is the count of
     parts 1 mod 4 minus the count of parts 3 mod 4, and e_k = charge - k for
     all large k, so q1_k = e_k + k - charge is a partition.
+
+    One pass over the parts, largest first, reads all three, with no set,
+    sort or scan.  The k-th part 4t+1 gives q1_k = t + k - charge.  A
+    negative entry j that is not excluded gets the number of excluded entries
+    below j, so with X parts 3 mod 4 the tail of q1 is X - s repeated gap_s
+    times, gap_s counting the entries strictly between the s-th and the
+    (s+1)-th excluded entry from the top (the 0-th being 0).
     """
-    evens = StrictPartition(tuple(p // 2 for p in lam.parts if p % 2 == 0))
-    ones = [p for p in lam.parts if p % 4 == 1]
-    threes = [p for p in lam.parts if p % 4 == 3]
-    top = {(p - 1) // 4 for p in ones}
-    excluded = {-(p - 3) // 4 - 1 for p in threes}
-    charge = len(ones) - len(threes)
-    bound = min(excluded, default=0) - len(top) - 2
-    entries = sorted(top, reverse=True) + [
-        j for j in range(-1, bound - 1, -1) if j not in excluded
-    ]
-    parts = [e + k - charge for k, e in enumerate(entries, 1)]
+    halves = []
+    heads = []  # t + k for the k-th part 4t+1
+    tail = []  # q1's tail, smallest entries first
+    threes = 0
+    above = 0
+    for p in lam.parts:
+        if not p & 1:
+            halves.append(p >> 1)
+        elif not p & 2:
+            heads.append((p >> 2) + len(heads) + 1)
+        else:
+            # the (above - p)/4 - 1 entries strictly between the excluded
+            # -(p+1)/4 and -(above+1)/4 have the threes passed so far below
+            if threes:
+                tail += [threes] * (((above - p) >> 2) - 1)
+            threes += 1
+            above = p
+    # the (above - 3)/4 entries from -1 down to the top excluded one have all below
+    tail += [threes] * (above >> 2)
+    charge = len(heads) - threes
+    parts = [h - charge for h in heads]
+    parts += reversed(tail)
     while parts and not parts[-1]:
         parts.pop()
-    return QuotientTriple(charge, evens, Partition(parts))
+    return QuotientTriple(charge, StrictPartition(halves), Partition(parts))
 
 
 def inverse_quotient(charge, q0, q1):
@@ -121,7 +139,17 @@ def abacus(lam, core_index):
 
 def delta_sign(lam, core_index):
     """Parity sign of lam: -1 to the number of bead pairs (central, left)
-    with the central bead strictly above the left one."""
-    ab = abacus(lam, core_index)
-    g = sum(1 for c in ab.central for left in ab.left if c > left)
-    return -1 if g % 2 else 1
+    with the central bead strictly above the left one.
+
+    One pass over the parts, smallest first, counts the left beads seen so
+    far, the bead on 0 included, and adds that count at each central bead.
+    """
+    parts = lam.parts
+    left = int(core_index < 0 and len(parts) == -core_index)
+    pairs = 0
+    for p in reversed(parts):
+        if not p & 1:
+            left += 1
+        elif not p & 2:
+            pairs += left
+    return -1 if pairs & 1 else 1

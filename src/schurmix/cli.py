@@ -38,8 +38,8 @@ MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse
 # with empty q0 and q1 prints the core with index --charge.  quotient and
-# abacus take time and output linear in the largest part, sign up to
-# quadratic time.
+# abacus take time and output linear in the largest part, sign time linear
+# in the number of parts.
 MAX_CORE_INDEX = 1000
 
 # enumerate prints the addition set one partition at a time, so these limits

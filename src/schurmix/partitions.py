@@ -11,6 +11,8 @@ by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 
 from __future__ import annotations
 
+from operator import ge, gt
+
 # A case name's index is its color.
 CASES = ("zero", "one")
 
@@ -22,16 +24,18 @@ class Partition:
     """
 
     __slots__ = ("parts",)
+    _order = ge  # how each part compares with the next; StrictPartition uses gt
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        for k, p in enumerate(parts):
-            if type(p) is not int:
-                raise TypeError(f"parts must be int, got {p!r}")
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {p}")
-            if k and parts[k - 1] < p:
-                raise ValueError(f"parts must be decreasing, got {parts}")
+        # C-level passes accept every valid tuple; only a rejected one is
+        # walked part by part, to name the first bad part.
+        if parts and not (
+            {*map(type, parts)} <= {int}
+            and all(map(self._order, parts, parts[1:]))
+            and parts[-1] > 0
+        ):
+            _reject(parts)
         self.parts = parts
 
     @property
@@ -80,12 +84,19 @@ class StrictPartition(Partition):
     """Partition with pairwise distinct parts."""
 
     __slots__ = ()
+    _order = gt
 
-    def __init__(self, parts=()):
-        super().__init__(parts)
-        for k in range(1, len(self.parts)):
-            if self.parts[k - 1] == self.parts[k]:
-                raise ValueError(f"parts must be strictly decreasing, got {self.parts}")
+
+def _reject(parts):
+    """Raise the error for the first bad part of a rejected parts tuple."""
+    for k, p in enumerate(parts):
+        if type(p) is not int:
+            raise TypeError(f"parts must be int, got {p!r}")
+        if p < 1:
+            raise ValueError(f"parts must be positive, got {p}")
+        if k and parts[k - 1] < p:
+            raise ValueError(f"parts must be decreasing, got {parts}")
+    raise ValueError(f"parts must be strictly decreasing, got {parts}")
 
 
 def color(j):
@@ -144,12 +155,13 @@ def _grow(bases, i, ell):
     left.  A row's fills are pushed smallest first, so the largest is popped
     first and results come out in decreasing lexicographic order.  cap[row] is
     the most color i nodes the rows from row down can take, two at most per
-    row, so a partial result that needs more is dropped at once.
+    row, so a partial result that needs more is dropped at once.  Column j
+    has color (j >> 1) & 1, which is color(j) without its argument check.
     """
     cap = [0] * (len(bases) + 1)
     for row in range(len(bases) - 1, -1, -1):
         g = 0
-        while g < 2 and color(bases[row] + g + 1) == i:
+        while g < 2 and ((bases[row] + g + 1) >> 1) & 1 == i:
             g += 1
         cap[row] = cap[row + 1] + g
     stack = [((), ell)]
@@ -165,7 +177,7 @@ def _grow(bases, i, ell):
         prev = acc[-1] if acc else None
         for r in range(budget + 1):
             value = base + r
-            if r and color(value) != i:
+            if r and (value >> 1) & 1 != i:
                 break
             if prev is not None and value >= prev:
                 break

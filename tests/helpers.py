@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from schurmix.partitions import color
+from schurmix.barquot import QuotientTriple
+from schurmix.partitions import Partition, StrictPartition, color
 from schurmix.polyring import Polynomial
 
 
@@ -188,6 +189,50 @@ def classical_schur_value(shape, xs):
     return total
 
 
+def marked_shifted_contents(shape, nvars):
+    """Content vectors, with multiplicity, of marked shifted tableaux of shape.
+
+    Row r starts in column r.  Entries are k' < k for k = 1..nvars, stored as
+    2k - 1 and 2k; rows and columns weakly increase, an unprimed k appears at
+    most once per column, a primed k' at most once per row, and primes may
+    sit on the diagonal.
+    """
+    cells = [(r, c) for r in range(len(shape)) for c in range(r, r + shape[r])]
+    grid = {}
+    out = []
+
+    def fill(k):
+        if k == len(cells):
+            content = [0] * nvars
+            for v in grid.values():
+                content[(v - 1) // 2] += 1
+            out.append(tuple(content))
+            return
+        r, c = cells[k]
+        left = grid.get((r, c - 1), 0)
+        up = grid.get((r - 1, c), 0)
+        for v in range(max(left, up, 1), 2 * nvars + 1):
+            if (v == left and v % 2) or (v == up and not v % 2):
+                continue
+            grid[r, c] = v
+            fill(k + 1)
+        grid.pop((r, c), None)
+
+    fill(0)
+    return out
+
+
+def classical_q_value(shape, xs):
+    """Tableau sum value of Schur's Q-function at the points xs."""
+    total = Fraction(0)
+    for content in marked_shifted_contents(shape, len(xs)):
+        term = Fraction(1)
+        for x, e in zip(xs, content):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
 def power_sum_assignment(xs, top):
     """tj values p_j(xs)/j for j = 1..top."""
     return {j: Fraction(sum(Fraction(x) ** j for x in xs), j) for j in range(1, top + 1)}
@@ -273,3 +318,26 @@ def character(parts, rho):
             smaller = tuple(c - (size - 1 - i) for i, c in enumerate(moved))
             total += (-1) ** between * character(tuple(p for p in smaller if p), rest)
     return total
+
+
+def quotient_by_maya(lam):
+    """Quotient oracle: scans the negative Maya positions one by one.
+
+    The Maya diagram is the strictly decreasing sequence e_1 > e_2 > ... whose
+    non-negative entries are k for each part 4k+1 and whose negative entries
+    are all j < 0 except -k-1 for each part 4k+3; q1_k = e_k + k - charge.
+    """
+    evens = StrictPartition(tuple(p // 2 for p in lam.parts if p % 2 == 0))
+    ones = [p for p in lam.parts if p % 4 == 1]
+    threes = [p for p in lam.parts if p % 4 == 3]
+    top = {(p - 1) // 4 for p in ones}
+    excluded = {-(p - 3) // 4 - 1 for p in threes}
+    charge = len(ones) - len(threes)
+    bound = min(excluded, default=0) - len(top) - 2
+    entries = sorted(top, reverse=True) + [
+        j for j in range(-1, bound - 1, -1) if j not in excluded
+    ]
+    parts = [e + k - charge for k, e in enumerate(entries, 1)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return QuotientTriple(charge, evens, Partition(parts))

@@ -8,9 +8,25 @@ from schurmix.barquot import (
     inverse_quotient,
     quotient,
 )
-from schurmix.partitions import Partition, StrictPartition, bar_core
+from schurmix.partitions import Partition, StrictPartition, add_set, bar_core
 
-from helpers import random_strict_parts, random_weak_parts, strict_parts
+from helpers import quotient_by_maya, random_strict_parts, random_weak_parts, strict_parts
+
+
+def addition_set_results():
+    """(mu, core index) for every add_set result of the cores -7..7 at every ell."""
+    for core_index in range(-7, 8):
+        core = bar_core(core_index)
+        for i in (0, 1) if core_index == 0 else (int(core_index > 0),):
+            for ell in range(2 * len(core) + 2):
+                for mu in add_set(core, i, ell):
+                    yield mu, core_index
+
+
+def bead_pair_sign(lam, core_index):
+    """-1 to the number of (central, left) bead pairs, central above, on the abacus."""
+    ab = abacus(lam, core_index)
+    return (-1) ** sum(1 for c in ab.central for left in ab.left if c > left)
 
 
 def test_quotient_worked_example():
@@ -48,6 +64,23 @@ def test_inverse_worked_example():
 def test_inverse_of_trivial_data_gives_cores():
     for m in range(-6, 7):
         assert inverse_quotient(m, StrictPartition(), Partition()) == bar_core(m)
+
+
+def test_quotient_matches_maya_scan_on_addition_sets():
+    # The round trips cannot see an error that quotient and inverse_quotient
+    # share; the Maya scan is built another way.
+    count = 0
+    for mu, _ in addition_set_results():
+        assert quotient(mu) == quotient_by_maya(mu), mu
+        count += 1
+    assert count == 9840
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_parts(max_part=40, max_len=9))
+def test_quotient_matches_maya_scan_property(parts):
+    mu = StrictPartition(parts)
+    assert quotient(mu) == quotient_by_maya(mu)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,9 +146,36 @@ def test_delta_sign_counts_bead_pairs():
     for _ in range(100):
         lam = StrictPartition(random_strict_parts(rng, max_weight=40))
         core_index = rng.randint(-6, 6)
-        ab = abacus(lam, core_index)
-        g = sum(1 for c in ab.central for left in ab.left if c > left)
-        assert delta_sign(lam, core_index) == (-1) ** g
+        assert delta_sign(lam, core_index) == bead_pair_sign(lam, core_index)
+
+
+def test_delta_sign_matches_bead_pairs_on_addition_sets():
+    count = zero_bead = 0
+    for mu, core_index in addition_set_results():
+        assert delta_sign(mu, core_index) == bead_pair_sign(mu, core_index), (mu, core_index)
+        count += 1
+        zero_bead += core_index < 0 and len(mu) == -core_index
+    assert count == 9840 and 0 < zero_bead < count
+
+
+def test_delta_sign_counts_the_zero_bead():
+    # The bead on 0 is below every central bead, so it flips the sign exactly
+    # when the central runner holds an odd number of beads.
+    for parts, core_index, sign in (
+        ((5,), -1, -1),  # 5 > 0
+        ((5,), 1, 1),
+        ((5,), -2, 1),  # length 1, not 2: no bead on 0
+        ((9, 4, 3), -3, 1),  # 9 > 4, 9 > 0
+        ((9, 4, 3), 3, -1),  # 9 > 4
+        ((13, 9, 5, 2), -4, 1),  # each of 13, 9, 5 above 2 and 0
+        ((13, 9, 5, 2), -3, -1),
+        ((9, 4, 1), -3, -1),  # 9 > 4, 9 > 0, 1 > 0
+        ((9, 4, 1), 0, -1),  # 9 > 4
+        ((3,), -1, 1),  # no central bead
+    ):
+        lam = StrictPartition(parts)
+        assert delta_sign(lam, core_index) == sign, (parts, core_index)
+        assert bead_pair_sign(lam, core_index) == sign, (parts, core_index)
 
 
 def test_render_marks_beads():

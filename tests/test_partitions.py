@@ -1,3 +1,6 @@
+import sys
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,21 +22,43 @@ def test_color_rejects_nonpositive():
         color(-3)
 
 
+class _IntSubclass(int):
+    pass
+
+
 def test_partition_validation():
     assert Partition((3, 3, 1)).parts == (3, 3, 1)
     assert Partition().parts == ()
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((3, 0))
-    with pytest.raises(ValueError):
-        StrictPartition((3, 3))
-    # parts are int, never truncated or parsed
-    for parts in ((2.7, 1), (3, 1.0), ("3", "1"), (True,), (2, False)):
-        with pytest.raises(TypeError):
-            Partition(parts)
-    with pytest.raises(TypeError):
-        StrictPartition((3.9, 1))
+    assert StrictPartition((10**30, 2, 1)).parts == (10**30, 2, 1)
+    # Parts are int, never truncated or parsed.  Each rejection has its
+    # exception type and a message that names the bad part or tuple; the
+    # first bad part decides, whatever follows it.
+    for cls, parts, error, message in (
+        (Partition, (True,), TypeError, "must be int, got True"),
+        (Partition, (2, False), TypeError, "must be int, got False"),
+        (Partition, (2.7, 1), TypeError, "must be int, got 2.7"),
+        (Partition, (3, 1.0), TypeError, "must be int, got 1.0"),
+        (Partition, ("3", "1"), TypeError, "must be int, got '3'"),
+        (Partition, (_IntSubclass(7), 1), TypeError, "must be int, got 7"),
+        (Partition, (0,), ValueError, "must be positive, got 0"),
+        (Partition, (3, 0), ValueError, "must be positive, got 0"),
+        (Partition, (3, -2), ValueError, "must be positive, got -2"),
+        (Partition, (1, 2), ValueError, "must be decreasing, got (1, 2)"),
+        (Partition, (3, 1, 2), ValueError, "must be decreasing, got (3, 1, 2)"),
+        (Partition, (3, 0, "x"), ValueError, "must be positive, got 0"),
+        (Partition, (1, 2, "x"), ValueError, "must be decreasing, got (1, 2, 'x')"),
+        (Partition, (3, "x", 0), TypeError, "must be int, got 'x'"),
+        (StrictPartition, (3, 3), ValueError, "strictly decreasing, got (3, 3)"),
+        (StrictPartition, (5, 2, 2), ValueError, "strictly decreasing, got (5, 2, 2)"),
+        (StrictPartition, (3, 3, 4), ValueError, "must be decreasing, got (3, 3, 4)"),
+        (StrictPartition, (3.9, 1), TypeError, "must be int, got 3.9"),
+        (StrictPartition, (True,), TypeError, "must be int, got True"),
+        (StrictPartition, (_IntSubclass(7),), TypeError, "must be int, got 7"),
+        (StrictPartition, (-1,), ValueError, "must be positive, got -1"),
+    ):
+        with pytest.raises(error) as info:
+            cls(parts)
+        assert message in str(info.value), (parts, str(info.value))
     assert Partition.from_text("3,1").parts == (3, 1)
     assert Partition((3, 1)).conjugate().parts == (2, 1, 1)
 
@@ -164,30 +189,41 @@ def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
     assert len(list(add_set(small, 0, 2 * len(small) + 1))) == 1
     core = bar_core(-12)
 
-    def no_search(j):
+    def no_search(*args):
         raise AssertionError("add_set searched past its bound")
 
-    monkeypatch.setattr(partitions, "color", no_search)
+    monkeypatch.setattr(partitions, "_grow", no_search)
     for ell in (2 * len(core) + 2, 100, 10**12):
         assert list(add_set(core, 0, ell)) == []
         assert list(add_set(core, 1, ell)) == []
     assert list(add_set(StrictPartition(), 0, 2)) == []
 
 
-def test_add_set_near_the_top_of_the_window_cannot_hang(monkeypatch):
+@contextmanager
+def line_budget(code, limit):
+    """Raise AssertionError once the frames of code have run more than limit lines."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > limit:
+                raise AssertionError(f"{code.co_name} ran more than {limit} lines")
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+def test_add_set_near_the_top_of_the_window_cannot_hang():
     # Without pruning by what the rows below can still take, core 14 at the
-    # top of its window visits about 3^14 partial rows.
-    real_color = partitions.color
-    calls = 0
-
-    def counted(j):
-        nonlocal calls
-        calls += 1
-        if calls > 10**5:
-            raise AssertionError("add_set searched far past its results")
-        return real_color(j)
-
-    monkeypatch.setattr(partitions, "color", counted)
+    # top of its window visits about 3^14 partial rows; with it each call
+    # below runs under 5000 lines of the search.
     # At the top every row takes two nodes; one below it, one row takes one
     # node fewer, or (color 0) the new row of length 1 stays empty.
     for core_index, i, ell, count in (
@@ -197,14 +233,15 @@ def test_add_set_near_the_top_of_the_window_cannot_hang(monkeypatch):
         (-14, 0, 28, 15),
     ):
         core = bar_core(core_index)
-        got = list(add_set(core, i, ell))
+        with line_budget(partitions._grow.__code__, 10**5):
+            got = list(add_set(core, i, ell))
         assert len(got) == count
         assert got == sorted(set(got), key=lambda mu: mu.parts, reverse=True)
         for mu in got:
             assert mu.weight == core.weight + ell
             padded = core.parts + (0,) * (len(mu) - len(core))
             for base, part in zip(padded, mu.parts):
-                assert all(real_color(col) == i for col in range(base + 1, part + 1))
+                assert all(color(col) == i for col in range(base + 1, part + 1))
 
 
 def test_add_set_rejects_bad_arguments():

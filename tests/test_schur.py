@@ -18,6 +18,7 @@ from schurmix.schur import (
 
 from helpers import (
     character,
+    classical_q_value,
     classical_schur_value,
     partitions_of,
     power_sum_assignment,
@@ -200,6 +201,27 @@ def test_schur_q_final_column_expansion():
                 sign = 1 if j % 2 == 0 else -1
                 total = total + q_pair(seq[j], last) * schur_q(StrictPartition(rest)) * sign
             assert total == schur_q(lam)
+
+
+def test_schur_q_matches_marked_shifted_tableaux():
+    # Oracle independent of q_pair and the Pfaffian: at t_k = 2 p_k(x) / k for
+    # odd k, Q_lam is the sum of x^T over marked shifted tableaux T of shape
+    # lam.  No even t_k is given, so an even variable in Q_lam raises.
+    points = (
+        (Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(1, 3)),
+        (Fraction(3, 2), Fraction(-1), Fraction(2, 5), Fraction(-3)),
+        (Fraction(-2, 3), Fraction(1, 4), Fraction(5), Fraction(-1, 6)),
+        (Fraction(7), Fraction(-5, 4), Fraction(1), Fraction(2, 9)),
+    )
+    cases = 0
+    for weight in range(7):
+        for parts in strict_partitions_of(weight):
+            q = schur_q(StrictPartition(parts))
+            for xs in points:
+                point = {k: 2 * sum(x**k for x in xs) / k for k in range(1, weight + 1, 2)}
+                assert q.eval(point) == classical_q_value(parts, xs), (parts, xs)
+            cases += 1
+    assert cases == 1 + 1 + 1 + 2 + 2 + 3 + 4
 
 
 def test_rect_schur_degenerate_edges():
