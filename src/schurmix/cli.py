@@ -23,15 +23,15 @@ import sys
 
 from .barquot import abacus, delta_sign, quotient, inverse_quotient
 from .fock import lemma_co_sides
-from .mixed import lhs, rect_shape, verify
+from .mixed import expansion_terms, lhs, rect_shape, verify
 from .partitions import CASES, Partition, StrictPartition, add_set, bar_core, case_color, check_color
 from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host weight 42 takes about 3 s (schur-s of a shape such as
-# 8,7,7,6,5,4,3,2) to 5 s (verify of the 6x7 rectangle), and verify-all
-# --max-m 6, whose largest rectangle is that 6x7, about 8 s: the cost
+# On a 2-vCPU Xeon host weight 42 takes about 2.5 s (verify of the 6x7
+# rectangle) to 3 s (schur-s of a shape such as 8,7,7,6,5,4,3,2), and
+# verify-all --max-m 6, whose largest rectangle is that 6x7, about 6 s: the cost
 # grows with the number of partitions of the weight.  The README examples and
 # the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
@@ -198,8 +198,8 @@ def cmd_schur_q(ns):
 def cmd_expand(ns):
     i, m = _resolve_case(ns.case, ns.core, ns.m)
     _check_rect(i, m, ns.n)
-    total, terms = lhs(CASES[i], m, ns.n)
     if ns.json:
+        total, terms = lhs(CASES[i], m, ns.n)
         # Written piece by piece, one term's value at a time, and byte for byte
         # the json.dumps of the whole object.
         head = json.dumps({"case": CASES[i], "m": m, "n": ns.n})
@@ -209,7 +209,7 @@ def cmd_expand(ns):
             print(", " if k else "", json.dumps(record), sep="", end="")
         print('], "total": ' + json.dumps(total.to_json_obj()) + "}")
     else:
-        for t in terms:
+        for t in expansion_terms(CASES[i], m, ns.n):
             mark = "+" if t.sign > 0 else "-"
             print(f"{mark} mu={t.mu.to_text()} q0={t.q_index.to_text()} q1={t.s_index.to_text()}")
     return 0

@@ -4,11 +4,9 @@ A vector is a plain dict {StrictPartition: coefficient}.  The elementary
 operator with index i > 0 turns a part i into i+1 when i is present and i+1 is
 not.  The index 0 operator adds a new part 1, with coefficient 1/2 when the
 partition has an odd number of parts (the state then carries an implicit zero
-pad) and 1 otherwise.  The two coarse operators bundle the elementary ones by
-column color and carry a factor sqrt 2:
-
-    color 0 uses indices 0, 3, 4, 7, 8, 11, ...
-    color 1 uses indices 1, 2, 5, 6, 9, 10, ...
+pad) and 1 otherwise.  Index k fills column k + 1, and the color i operator,
+which carries a factor sqrt 2, bundles the elementary operators whose column
+has color i in the sense of :mod:`schurmix.partitions`.
 
 Applying the color i operator ell times to a core state and dividing by ell!
 spreads the state over the color i addition set with sqrt 2 powers as
@@ -34,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .partitions import StrictPartition, add_set, bar_core, check_color, color
+from .partitions import StrictPartition, add_set, bar_core, check_color
 from .polyring import as_fraction
 
 
@@ -77,23 +75,14 @@ def f_inf(i, lam):
     return {StrictPartition(raised): Fraction(1)}
 
 
-def _residues(i):
-    """Residues mod 4 of the parts a color i step raises: part p fills column p + 1."""
-    return tuple(r for r in range(4) if color(r + 1) == i)
-
-
 def f_chev(i, v):
     """Color i raising operator on a {state: Fraction} vector, without its
     overall factor sqrt 2: the sum of the elementary operators whose index lies
     in color class i.  The caller applies sqrt2^ell after ell steps."""
     check_color(i)
-    residues = _residues(i)
     out = {}
     for lam, coeff in v.items():
-        indices = [p for p in lam.parts if p % 4 in residues]
-        if i == 0:
-            indices.append(0)
-        for k in indices:
+        for k in [p for p in lam.parts + (0,) if ((p + 1) >> 1) & 1 == i]:
             for mu, weight in f_inf(k, lam).items():
                 out[mu] = out.get(mu, 0) + coeff * weight
     return {mu: c for mu, c in out.items() if c}
@@ -111,7 +100,6 @@ def _path_counts(i, core, ell):
     an odd length state and 2 from an even one, so N / 2^r is the sum of the
     path weights when the path adds r rows.
     """
-    residues = _residues(i)
     states = {core: 1}
     for _ in range(ell):
         nxt = {}
@@ -119,7 +107,7 @@ def _path_counts(i, core, ell):
             prev = 0
             for j, p in enumerate(parts):
                 # parts strictly decrease, so p + 1 is present only as parts[j - 1]
-                if p % 4 in residues and prev != p + 1:
+                if ((p + 1) >> 1) & 1 == i and prev != p + 1:
                     key = parts[:j] + (p + 1,) + parts[j + 1 :]
                     nxt[key] = nxt.get(key, 0) + count
                 prev = p

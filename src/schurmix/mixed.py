@@ -65,17 +65,23 @@ class VerificationReport:
     terms: list = field(default_factory=list)
 
 
-def lhs(case, m, n):
-    """Expansion side: signed Q*S(t2) products over the addition set.
-
-    Returns the total polynomial together with the term records, ordered like
-    the addition set itself (decreasing lexicographic in mu).
-    """
+def expansion_terms(case, m, n):
+    """The summands' records, ordered like the addition set itself
+    (decreasing lexicographic in mu); no polynomial is built."""
     i, core_index = _case(case, m, n)
     terms = []
     for mu in add_set(bar_core(core_index), i, n):
         tri = quotient(mu)
         terms.append(ExpansionTerm(mu, delta_sign(mu, core_index), tri.q0, tri.q1))
+    return terms
+
+
+def lhs(case, m, n):
+    """Expansion side: signed Q*S(t2) products over the addition set.
+
+    Returns the total polynomial together with the expansion_terms records.
+    """
+    terms = expansion_terms(case, m, n)
     return sum_of_products(term.factors() for term in terms), terms
 
 

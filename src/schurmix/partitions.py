@@ -1,9 +1,9 @@
 """Partitions, strict partitions, diagram coloring, bar cores, and node addition sets.
 
-Columns of a Young diagram are colored with two colors repeating with period
-four: columns 1, 4, 5, 8, 9, ... carry color 0 and columns 2, 3, 6, 7, ...
-carry color 1.  Adding nodes of a single color to a strict partition produces
-the sets enumerated by :func:`add_set`.
+Column j of a Young diagram has color (j >> 1) & 1, so the colors run
+0, 1, 1, 0, 0, 1, 1, 0, ... with period four: columns 1, 4, 5, 8, 9, ... carry
+color 0 and columns 2, 3, 6, 7, ... carry color 1.  Adding nodes of a single
+color to a strict partition produces the sets enumerated by :func:`add_set`.
 
 A case of the expansion is a color: case "one" grows cores with index >= 0
 by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
@@ -11,6 +11,7 @@ by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import ge, gt
 
 # A case name's index is its color.
@@ -100,10 +101,10 @@ def _reject(parts):
 
 
 def color(j):
-    """Color of diagram column j: 0 when j = 0, 1 (mod 4), else 1."""
+    """Color of diagram column j >= 1."""
     if j < 1:
         raise ValueError(f"column index must be positive, got {j}")
-    return 0 if j % 4 in (0, 1) else 1
+    return (j >> 1) & 1
 
 
 def case_color(case):
@@ -141,29 +142,26 @@ def add_set(lam, i, ell):
     check_color(i)
     if ell < 0:
         raise ValueError(f"node count must be non-negative, got {ell}")
-    # Column colors run 0, 1, 1, 0, 0, 1, 1, ...: a row gains at most two
-    # nodes of one color, and only color 0 opens a new row, of length 1.
-    if ell > 2 * len(lam.parts) + 1:
+    # Colors come in pairs, so a row ending at column b takes two nodes when b
+    # is odd and one when b is even, if column b + 1 has color i; a fresh row
+    # ends at column 0.
+    bases = lam.parts + (0,)
+    gain = [(1 + (b & 1)) * (((b + 1) >> 1) & 1 == i) for b in bases]
+    if ell > sum(gain):
         return iter(())
-    return _grow(lam.parts + (0,) * min(ell, 1), i, ell)
+    return _grow(bases, gain, ell)
 
 
-def _grow(bases, i, ell):
+def _grow(bases, gain, ell):
     """Row-by-row search behind add_set.
 
     The stack holds partial results, the rows filled so far and the nodes
     left.  A row's fills are pushed smallest first, so the largest is popped
     first and results come out in decreasing lexicographic order.  cap[row] is
-    the most color i nodes the rows from row down can take, two at most per
-    row, so a partial result that needs more is dropped at once.  Column j
-    has color (j >> 1) & 1, which is color(j) without its argument check.
+    the most color i nodes the rows from row down can take, so a partial
+    result that needs more is dropped at once.
     """
-    cap = [0] * (len(bases) + 1)
-    for row in range(len(bases) - 1, -1, -1):
-        g = 0
-        while g < 2 and ((bases[row] + g + 1) >> 1) & 1 == i:
-            g += 1
-        cap[row] = cap[row + 1] + g
+    cap = [*accumulate(reversed(gain), initial=0)][::-1]
     stack = [((), ell)]
     while stack:
         acc, budget = stack.pop()
@@ -174,14 +172,10 @@ def _grow(bases, i, ell):
         if budget > cap[row]:
             continue
         base = bases[row]
-        prev = acc[-1] if acc else None
-        for r in range(budget + 1):
-            value = base + r
-            if r and (value >> 1) & 1 != i:
-                break
-            if prev is not None and value >= prev:
-                break
-            if value:
-                stack.append((acc + (value,), budget - r))
-            # value 0 is an unfilled fresh row; filling a later fresh row
-            # instead would repeat the same partition, so do not push it.
+        g = gain[row]
+        top = base + (g if g < budget else budget)
+        if acc and top >= acc[-1]:
+            top = acc[-1] - 1
+        # a fresh row left empty yields nothing, so it is not pushed
+        for value in range(base or 1, top + 1):
+            stack.append((acc + (value,), budget - value + base))

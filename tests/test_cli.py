@@ -7,6 +7,7 @@ from pathlib import Path
 
 import schurmix
 import schurmix.cli as cli
+import schurmix.mixed as mixed
 from schurmix.mixed import VerificationReport, lhs
 from schurmix.partitions import bar_core
 from schurmix.polyring import Polynomial
@@ -111,6 +112,17 @@ def test_expand_text(capsys):
         "- mu=7,5 q0= q1=2,1",
         "+ mu=7,4,1 q0=2 q1=1,1",
     ]
+
+
+def test_expand_text_builds_no_polynomial(capsys, monkeypatch):
+    argv = ("expand", "--core", "-3", "--n", "3")
+    expected = run_cli(capsys, *argv)
+    for module in (cli, mixed):
+        for name in ("schur_q", "schur_s"):
+            monkeypatch.setattr(module, name, _refuse_to_build)
+    monkeypatch.setattr(mixed, "sum_of_products", _refuse_to_build)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and len(expected[1].splitlines()) > 1
 
 
 def test_expand_json(capsys):
@@ -243,7 +255,7 @@ OVERSIZED = [
 
 
 def test_oversized_input_is_usage_error(capsys, monkeypatch):
-    for name in ("schur_s", "schur_q", "lhs", "verify"):
+    for name in ("schur_s", "schur_q", "lhs", "expansion_terms", "verify"):
         monkeypatch.setattr(cli, name, _refuse_to_build)
     for argv, limit in OVERSIZED:
         code, out, err = run_cli(capsys, *argv)

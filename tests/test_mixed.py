@@ -1,6 +1,6 @@
 import pytest
 
-from schurmix.mixed import lhs, rect_shape, rhs, verify
+from schurmix.mixed import expansion_terms, lhs, rect_shape, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial
 from schurmix.schur import rect_schur, schur_s
@@ -81,7 +81,7 @@ def test_term_count_matches_add_set():
     for case, m, n in (("one", 3, 2), ("zero", 2, 3), ("one", 2, 1)):
         color = 1 if case == "one" else 0
         core = bar_core(m if case == "one" else -m)
-        _, terms = lhs(case, m, n)
+        terms = expansion_terms(case, m, n)
         assert len(terms) == len(list(add_set(core, color, n)))
 
 
@@ -91,7 +91,7 @@ def test_terms_are_homogeneous_of_rectangle_weight():
             for n in range(2 * m + 4):
                 rows, cols = rect_shape(i, m, n)
                 area = rows * cols
-                _, terms = lhs(case, m, n)
+                terms = expansion_terms(case, m, n)
                 for t in terms:
                     if area:
                         assert t.value.homogeneous_degree() == area
@@ -107,6 +107,26 @@ def test_total_is_the_sum_of_the_term_values():
             for n in range(2 * m + 4):
                 total, terms = lhs(case, m, n)
                 assert total == sum((t.value for t in terms), Polynomial.zero()), (case, m, n)
+
+
+def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
+    # omega fixes Q(t_odd), maps S_b(t2) to (-1)^|b| S_b'(t2) and the rectangle
+    # for n to the one for top - n.  The products Q * S(t2) are linearly
+    # independent, so the summands correspond with the same q0, a conjugate
+    # q1 and the sign times (-1)^|q1|.  No polynomial is built, so this
+    # reaches rectangles beyond the weight the sweep can afford.
+    def dual(t):
+        q1 = t.s_index
+        return t.q_index.parts, q1.conjugate().parts, (-1) ** q1.weight * t.sign
+
+    for i, case in enumerate(CASES):
+        for m in range(9):
+            top = 2 * m + 1 - i
+            sets = [expansion_terms(case, m, n) for n in range(top + 1)]
+            for n in range(top + 1):
+                assert sets[n], (case, m, n)
+                here = sorted((t.q_index.parts, t.s_index.parts, t.sign) for t in sets[n])
+                assert here == sorted(map(dual, sets[top - n])), (case, m, n)
 
 
 def test_sweep_small_cores():

@@ -197,6 +197,10 @@ def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
         assert list(add_set(core, 0, ell)) == []
         assert list(add_set(core, 1, ell)) == []
     assert list(add_set(StrictPartition(), 0, 2)) == []
+    # part 2 ends before column 3, of color 1, so only the fresh row takes a
+    # color 0 node: the bound is that one node, not two per row
+    for ell in (2, 3):
+        assert list(add_set(StrictPartition((2,)), 0, ell)) == []
 
 
 @contextmanager
