@@ -107,8 +107,8 @@ def _term_record(t):
     return {
         "mu": t.mu.to_text(),
         "sign": t.sign,
-        "q0": t.q_index.to_text(),
-        "q1": t.s_index.to_text(),
+        "q0": t.q0.to_text(),
+        "q1": t.q1.to_text(),
     }
 
 
@@ -211,7 +211,7 @@ def cmd_expand(ns):
     else:
         for t in expansion_terms(CASES[i], m, ns.n):
             mark = "+" if t.sign > 0 else "-"
-            print(f"{mark} mu={t.mu.to_text()} q0={t.q_index.to_text()} q1={t.s_index.to_text()}")
+            print(f"{mark} mu={t.mu.to_text()} q0={t.q0.to_text()} q1={t.q1.to_text()}")
     return 0
 
 

@@ -40,12 +40,12 @@ def rect_shape(i, m, n):
 class ExpansionTerm:
     mu: StrictPartition
     sign: int
-    q_index: StrictPartition
-    s_index: Partition
+    q0: StrictPartition
+    q1: Partition
 
     def factors(self):
         """(sign, Q, S(t2)) of this summand, a sum_of_products triple."""
-        return self.sign, schur_q(self.q_index), shift2(schur_s(self.s_index))
+        return self.sign, schur_q(self.q0), shift2(schur_s(self.q1))
 
     @property
     def value(self):
@@ -95,14 +95,14 @@ def verify(case, m, n):
     """Compare both sides exactly and return the full report."""
     left, terms = lhs(case, m, n)
     right = rhs(case, m, n)
-    difference = left - right
+    equal = left == right  # storage is canonical: equal exactly when left - right is 0
     return VerificationReport(
         case=case,
         core_index=_case(case, m, n)[1],
         n=n,
         lhs=left,
         rhs=right,
-        equal=difference.is_zero,
-        difference=difference,
+        equal=equal,
+        difference=Polynomial.zero() if equal else left - right,
         terms=terms,
     )

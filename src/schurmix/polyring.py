@@ -30,8 +30,10 @@ Fractions that do not become integral after scaling stay Fractions.
 Terms are combined in one place, sum_of_products, which sums c * a * b over
 (int c, Polynomial a, Polynomial b) triples into one dict and prunes zero
 coefficients and empty pieces once at the end.  A sum a + b is the triples
-(1, 1, a) and (1, 1, b), a product a * b the triple (1, a, b), and each minor
-of a determinant or Pfaffian the signed triples of its expansion.
+(1, 1, a) and (1, 1, b), a product a * b the triple (1, a, b), a scalar
+multiple a * c the triple (1, a, constant c), and each minor of a determinant
+or Pfaffian (read from its strict upper triangle) the signed triples of its
+expansion.
 
 Terms are kept in a canonical order: ascending weight, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  The same
@@ -276,13 +278,8 @@ class Polynomial:
         return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero()
-            return Polynomial._raw(
-                {w: {k: c * other for k, c in piece.items()} for w, piece in self._terms.items()}
-            )
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return sum_of_products(((1, self, other),))
 
@@ -463,17 +460,12 @@ def _bits(mask):
         mask ^= low
 
 
-def _square(mat, name):
-    rows = [[as_polynomial(e) for e in row] for row in mat]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError(f"{name} needs a square matrix")
-    return rows
-
-
 def determinant(mat):
     """Exact determinant by expansion along the top free row, memoised on column sets."""
-    rows = _square(mat, "determinant")
+    rows = [[as_polynomial(e) for e in row] for row in mat]
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
 
     def pick(mask):
         row = rows[n - bin(mask).count("1")]
@@ -483,28 +475,25 @@ def determinant(mat):
     return _expand(n, pick)
 
 
-def pfaffian(mat):
-    """Pfaffian of a skew-symmetric matrix of even size.
+def pfaffian(upper):
+    """Pfaffian of the even-size skew matrix M with strict upper triangle upper[i] = M[i][i+1:].
 
-    Expands along the lowest free index, pairing it with each other free
-    index in turn, memoised on the set of free indices.  pfaffian(M)^2 equals
-    determinant(M); the empty matrix has pfaffian 1.
+    Expands along the lowest free index, pairing it with each other free index
+    in turn, memoised on the set of free indices.  Its square is the determinant
+    of the full matrix; the empty matrix has pfaffian 1.
     """
-    rows = _square(mat, "pfaffian")
+    rows = [[as_polynomial(e) for e in row] for row in upper]
     n = len(rows)
     if n % 2:
         raise ValueError(f"pfaffian needs even size, got {n}")
-    for i in range(n):
-        if rows[i][i]._terms:
-            raise ValueError("pfaffian needs a zero diagonal")
-        for j in range(i + 1, n):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("pfaffian needs a skew-symmetric matrix")
+    if any(len(row) != n - 1 - i for i, row in enumerate(rows)):
+        raise ValueError("pfaffian needs a strict upper triangle: row i has n-1-i entries")
 
     def pick(mask):
         low = mask & -mask
-        row = rows[low.bit_length() - 1]
+        i = low.bit_length() - 1
+        row = rows[i]
         for pos, (col, bit) in enumerate(_bits(mask ^ low)):
-            yield (-1) ** pos, row[col], mask ^ low ^ bit
+            yield (-1) ** pos, row[col - i - 1], mask ^ low ^ bit
 
     return _expand(n, pick)

@@ -34,13 +34,9 @@ def q_fun(n):
 
 @functools.cache
 def q_pair(m, n):
-    """Two-row building block q_(m,n), antisymmetric in its arguments."""
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be >= 0, got ({m}, {n})")
-    if m == n:
-        return Polynomial.zero()
-    if m < n:
-        return -q_pair(n, m)
+    """Two-row building block q_(m,n) for m > n >= 0, the only pairs schur_q asks for."""
+    if not m > n >= 0:
+        raise ValueError(f"q_pair needs m > n >= 0, got ({m}, {n})")
     # q_m q_n + 2 * sum over 0 < i <= n of (-1)^i q_(m+i) q_(n-i)
     return sum_of_products(
         ((-1) ** i * (2 if i else 1), q_fun(m + i), q_fun(n - i)) for i in range(n + 1)
@@ -65,11 +61,12 @@ def schur_s(lam):
 def schur_q(lam):
     """Q-polynomial of a strict partition: Pfaffian of the q_pair matrix.
 
-    Odd length partitions get a single trailing 0 before building the matrix.
+    Odd length partitions get a single trailing 0, so seq strictly decreases
+    and the upper triangle, all pfaffian reads, holds q_pair(a, b) with a > b.
     """
     parts = lam.parts
     seq = parts if len(parts) % 2 == 0 else parts + (0,)
-    return pfaffian([[q_pair(a, b) for b in seq] for a in seq])
+    return pfaffian([[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)])
 
 
 def rect_schur(a, b):

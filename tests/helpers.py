@@ -89,6 +89,11 @@ def random_skew_matrix(rng, size):
     return mat
 
 
+def upper_triangle(mat):
+    """Strict upper triangle of a square matrix, the form pfaffian takes."""
+    return [row[i + 1 :] for i, row in enumerate(mat)]
+
+
 def perfect_matchings(items):
     """All ways to split the list items into pairs, each pair in list order."""
     if not items:

@@ -156,8 +156,8 @@ def test_expand_json_streams_the_whole_object(capsys):
             {
                 "mu": t.mu.to_text(),
                 "sign": t.sign,
-                "q0": t.q_index.to_text(),
-                "q1": t.s_index.to_text(),
+                "q0": t.q0.to_text(),
+                "q1": t.q1.to_text(),
                 "value": t.value.to_json_obj(),
             }
             for t in terms

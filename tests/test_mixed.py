@@ -1,5 +1,6 @@
 import pytest
 
+from schurmix import mixed
 from schurmix.mixed import expansion_terms, lhs, rect_shape, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial
@@ -7,7 +8,7 @@ from schurmix.schur import rect_schur, schur_s
 
 
 def term_triples(terms):
-    return [(t.sign, t.q_index.parts, t.s_index.parts) for t in terms]
+    return [(t.sign, t.q0.parts, t.q1.parts) for t in terms]
 
 
 def test_positive_core_worked_expansion():
@@ -77,6 +78,15 @@ def test_report_fields():
     assert len(report.terms) == 5
 
 
+def test_mismatch_reports_the_difference(monkeypatch):
+    # a rectangle off by t1 must fail the check and show the difference
+    monkeypatch.setattr(mixed, "rect_schur", lambda a, b: rect_schur(a, b) + Polynomial.variable(1))
+    report = verify("one", 3, 2)
+    assert report.equal is False
+    assert report.difference == report.lhs - report.rhs
+    assert report.difference == -Polynomial.variable(1)
+
+
 def test_term_count_matches_add_set():
     for case, m, n in (("one", 3, 2), ("zero", 2, 3), ("one", 2, 1)):
         color = 1 if case == "one" else 0
@@ -116,8 +126,7 @@ def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
     # q1 and the sign times (-1)^|q1|.  No polynomial is built, so this
     # reaches rectangles beyond the weight the sweep can afford.
     def dual(t):
-        q1 = t.s_index
-        return t.q_index.parts, q1.conjugate().parts, (-1) ** q1.weight * t.sign
+        return t.q0.parts, t.q1.conjugate().parts, (-1) ** t.q1.weight * t.sign
 
     for i, case in enumerate(CASES):
         for m in range(9):
@@ -125,7 +134,7 @@ def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
             sets = [expansion_terms(case, m, n) for n in range(top + 1)]
             for n in range(top + 1):
                 assert sets[n], (case, m, n)
-                here = sorted((t.q_index.parts, t.s_index.parts, t.sign) for t in sets[n])
+                here = sorted((t.q0.parts, t.q1.parts, t.sign) for t in sets[n])
                 assert here == sorted(map(dual, sets[top - n])), (case, m, n)
 
 

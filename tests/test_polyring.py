@@ -35,6 +35,7 @@ from helpers import (
     ref_omega,
     ref_shift2,
     strict_partitions_of,
+    upper_triangle,
 )
 
 
@@ -156,6 +157,32 @@ def test_arithmetic_matches_ordinary_basis_reference(a, b):
     assert omega(a).terms == ref_omega(ta)
 
 
+def test_scalar_products_go_through_one_sum_of_products_call(monkeypatch):
+    # every product, scalar multiples and negation included, is one
+    # accumulator call; the result is checked on the ordinary-basis terms
+    p = Polynomial(
+        [({1: 2}, Fraction(-3, 2)), ({2: 1, 3: 1}, 5), ({}, 1), ({4: 1}, Fraction(2, 3))]
+    )
+    ordinary = dict(p.terms)
+    calls = []
+    real = polyring.sum_of_products
+
+    def counting(terms):
+        calls.append(1)
+        return real(terms)
+
+    monkeypatch.setattr(polyring, "sum_of_products", counting)
+    for c in (0, 2, -1, Fraction(1, 3)):
+        expected = {mono: coeff * c for mono, coeff in ordinary.items() if c}
+        for product in (lambda: p * c, lambda: c * p):
+            calls.clear()
+            assert product().terms == expected, c
+            assert len(calls) == 1, c
+    calls.clear()
+    assert (-p).terms == {mono: -coeff for mono, coeff in ordinary.items()}
+    assert len(calls) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), polynomials(), polynomials()), max_size=4))
 @example([(2, Polynomial.one() + t(1), t(3) - t(1) * t(2))])
@@ -271,7 +298,7 @@ def test_determinant_matches_permutation_expansion():
 def test_pfaffian_small():
     assert pfaffian([]) == 1
     a = t(1)
-    assert pfaffian([[Polynomial.zero(), a], [-a, Polynomial.zero()]]) == a
+    assert pfaffian([[a], []]) == a
     entries = [t(j) for j in range(1, 7)]
     z = Polynomial.zero()
     a, b, c, d, e, f = entries
@@ -281,20 +308,17 @@ def test_pfaffian_small():
         [-b, -d, z, f],
         [-c, -e, -f, z],
     ]
-    assert pfaffian(mat) == a * f - b * e + c * d
+    assert upper_triangle(mat) == [[a, b, c], [d, e], [f], []]
+    assert pfaffian(upper_triangle(mat)) == a * f - b * e + c * d
 
 
 def test_pfaffian_validation():
+    # only the shape is checked: even size, and row i holds n-1-i entries
     z = Polynomial.zero()
     a = t(1)
-    with pytest.raises(ValueError):
-        pfaffian([[z]])
-    with pytest.raises(ValueError):
-        pfaffian([[a, a], [-a, z]])
-    with pytest.raises(ValueError):
-        pfaffian([[z, a], [a, z]])
-    with pytest.raises(ValueError):
-        pfaffian([[z, a], [-a, z], [z, z]])
+    for bad in ([[]], [[z, a], [-a, z]], [[a], [z]], [[a, a], [a], []]):
+        with pytest.raises(ValueError):
+            pfaffian(bad)
 
 
 def test_pfaffian_matches_matching_sum():
@@ -304,7 +328,7 @@ def test_pfaffian_matches_matching_sum():
             mat = random_skew_matrix(rng, size)
             expected = pfaffian_by_matchings(mat)
             assert not expected.is_zero
-            assert pfaffian(mat) == expected
+            assert pfaffian(upper_triangle(mat)) == expected
 
 
 def test_pfaffian_squares_to_determinant():
@@ -312,7 +336,7 @@ def test_pfaffian_squares_to_determinant():
     for size in (2, 4):
         for _ in range(5):
             mat = random_skew_matrix(rng, size)
-            pf = pfaffian(mat)
+            pf = pfaffian(upper_triangle(mat))
             assert pf * pf == determinant(mat)
 
 
@@ -428,6 +452,6 @@ def test_pfaffian_squares_to_determinant_and_matches_matchings(size, data):
         for j in range(i + 1, size):
             entry = data.draw(polynomials(max_terms=3))
             mat[i][j], mat[j][i] = entry, -entry
-    pf = pfaffian(mat)
+    pf = pfaffian(upper_triangle(mat))
     assert pf == pfaffian_by_matchings(mat)
     assert pf * pf == determinant(mat)

@@ -4,7 +4,7 @@ from math import factorial, prod
 
 import pytest
 
-from schurmix import polyring
+from schurmix import polyring, schur
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import Polynomial, determinant, omega
 from schurmix.schur import (
@@ -166,15 +166,26 @@ def test_schur_s_matches_plain_jacobi_trudi():
 def test_q_pair_values():
     assert q_pair(2, 1) == t(1) ** 3 * Fraction(1, 6) - 2 * t(3)
     assert q_pair(3, 0) == q_fun(3)
-    assert q_pair(1, 1).is_zero
-    with pytest.raises(ValueError):
-        q_pair(-1, 0)
+    for m, n in ((-1, 0), (1, 1), (0, 0), (1, 2), (0, -1)):
+        with pytest.raises(ValueError):
+            q_pair(m, n)
 
 
-def test_q_pair_antisymmetry():
-    for m in range(7):
-        for n in range(7):
-            assert q_pair(m, n) == -q_pair(n, m)
+def test_schur_q_asks_q_pair_only_for_m_above_n(monkeypatch):
+    # the upper triangle of a strictly decreasing, zero-padded seq; nothing
+    # is cached, so every pair schur_q needs reaches the recorder
+    asked = []
+
+    def recorder(m, n):
+        asked.append((m, n))
+        return q_pair(m, n)
+
+    monkeypatch.setattr(schur, "q_pair", recorder)
+    for weight in range(13):
+        for parts in strict_partitions_of(weight):
+            schur.schur_q.__wrapped__(StrictPartition(parts))
+    assert asked and all(m > n >= 0 for m, n in asked)
+    assert {n for _, n in asked} >= {0, 1}
 
 
 def test_schur_q_basics():
