@@ -29,11 +29,13 @@ from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host weight 42 takes about 2.5 s (verify of the 6x7
-# rectangle) to 3 s (schur-s of a shape such as 8,7,7,6,5,4,3,2), and
-# verify-all --max-m 6, whose largest rectangle is that 6x7, about 6 s: the cost
-# grows with the number of partitions of the weight.  The README examples and
-# the benchmark's calls all have weight 32 or less.
+# On a 2-vCPU Xeon host weight 42 takes about 1.2-1.5 s for verify --json of
+# the 6x7 rectangle (28860 terms; 1.7-2.4 s in the same runs while each side
+# was serialized on its own) and up to 3 s for schur-s of a shape such as
+# 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is that
+# 6x7, 3-6 s; the host's speed drifts by tens of percent.  The cost grows
+# with the number of partitions of the weight.  The README examples and the
+# benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse
@@ -220,20 +222,20 @@ def cmd_verify(ns):
     rectangle = _check_rect(i, m, ns.n)
     report = verify(CASES[i], m, ns.n)
     if ns.json:
-        print(
-            json.dumps(
-                {
-                    "case": report.case,
-                    "core_index": report.core_index,
-                    "n": report.n,
-                    "equal": report.equal,
-                    "lhs": report.lhs.to_json_obj(),
-                    "rhs": report.rhs.to_json_obj(),
-                    "difference": report.difference.to_json_obj(),
-                    "terms": [_term_record(t) for t in report.terms],
-                }
-            )
+        # Equal sides are one polynomial, encoded once for both slots; the
+        # line is byte for byte the json.dumps of the whole object.
+        left = json.dumps(report.lhs.to_json_obj())
+        right = left if report.equal else json.dumps(report.rhs.to_json_obj())
+        head = json.dumps(
+            {"case": report.case, "core_index": report.core_index, "n": report.n, "equal": report.equal}
         )
+        tail = json.dumps(
+            {
+                "difference": report.difference.to_json_obj(),
+                "terms": [_term_record(t) for t in report.terms],
+            }
+        )
+        print(f'{head[:-1]}, "lhs": {left}, "rhs": {right}, {tail[1:]}')
     else:
         print(f"case: {CASES[i]}")
         print(f"m: {m}")

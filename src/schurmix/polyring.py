@@ -36,23 +36,31 @@ or Pfaffian (read from its strict upper triangle) the signed triples of its
 expansion.
 
 Terms are kept in a canonical order: ascending weight, ties broken by the
-exponent vector read from t1 upward with the larger vector first.  The same
-order drives the pretty printer and the JSON form
+exponent vector read from t1 upward with the larger vector first.  One walk,
+Polynomial._canonical, sorts each weight-w piece by the w bytes of its keys
+and yields every stored coefficient with those exponent bytes; sorted_terms,
+the pretty printer and the JSON form
 
     {"terms": [{"coeff": "<num>/<den>", "mono": {"<var>": "<exp>", ...}}, ...]}
+
+all read it.  to_json_obj builds no Fraction for an int coefficient c: with
+g = gcd(c, w!) it writes c//g and w!//g, Fraction's lowest terms with the sign
+in the numerator, and takes the mono from the nonzero exponent bytes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 
 # Bits per exponent slot: one byte, so to_bytes reads the exponent vector.
 SLOT_BITS = 8
 WEIGHT_LIMIT = 1 << SLOT_BITS
 # Bit 0 of the slot of each even variable t2, t4, ..., t(WEIGHT_LIMIT).
 _EVEN_LOW_BITS = int.from_bytes(b"\0\1" * (WEIGHT_LIMIT // 2), "little")
+# str(k) for every variable index and exponent a term below WEIGHT_LIMIT can hold.
+_DIGITS = tuple(map(str, range(WEIGHT_LIMIT)))
 
 
 def _monomial(spec):
@@ -99,7 +107,11 @@ def _pack(mono):
 
 def _unpack(key):
     """Canonical monomial of a packed key."""
-    slots = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return _monomial_of(key.to_bytes((key.bit_length() + 7) // 8, "little"))
+
+
+def _monomial_of(slots):
+    """Canonical monomial of an exponent vector given as bytes, t1 first."""
     return tuple((var, exp) for var, exp in enumerate(slots, 1) if exp)
 
 
@@ -314,17 +326,23 @@ class Polynomial:
                 total += value
         return total
 
-    def sorted_terms(self):
-        """(monomial, ordinary Fraction) pairs in the canonical order used for
-        printing and serialization."""
-        out = []
+    def _canonical(self):
+        """(w, [(exponent bytes, stored coefficient), ...]) for each weight-w
+        piece, ascending in w, its terms in descending byte order: the
+        canonical order used for printing and serialization."""
         for w in sorted(self._terms):
-            piece = self._terms[w]
             # A weight-w key has no variable above tw, so w bytes hold its
-            # exponent vector, t1 first.
-            for key in sorted(piece, key=lambda k: k.to_bytes(w, "little"), reverse=True):
-                out.append((_unpack(key), _ordinary(w, piece[key])))
-        return out
+            # exponent vector, t1 first; no two keys share them.
+            piece = self._terms[w]
+            yield w, sorted([(k.to_bytes(w, "little"), c) for k, c in piece.items()], reverse=True)
+
+    def sorted_terms(self):
+        """(monomial, ordinary Fraction) pairs in the canonical order."""
+        return [
+            (_monomial_of(exps), _ordinary(w, c))
+            for w, piece in self._canonical()
+            for exps, c in piece
+        ]
 
     def pretty(self):
         if not self._terms:
@@ -350,15 +368,20 @@ class Polynomial:
         return f"<Polynomial {self.pretty()}>"
 
     def to_json_obj(self):
-        return {
-            "terms": [
-                {
-                    "coeff": f"{c.numerator}/{c.denominator}",
-                    "mono": {str(var): str(exp) for var, exp in m},
-                }
-                for m, c in self.sorted_terms()
-            ]
-        }
+        out = []
+        for w, piece in self._canonical():
+            fact = factorial(w)
+            for exps, c in piece:
+                if type(c) is int:
+                    g = gcd(c, fact)
+                    coeff = f"{c // g}/{fact // g}"
+                else:
+                    c = Fraction(c, fact)
+                    coeff = f"{c.numerator}/{c.denominator}"
+                # the slots above the largest variable are zero: cut them before the scan
+                slots = enumerate(exps.rstrip(b"\0"), 1)
+                out.append({"coeff": coeff, "mono": {_DIGITS[v]: _DIGITS[e] for v, e in slots if e}})
+        return {"terms": out}
 
 
 _ONE = Polynomial._raw({0: {0: 1}})

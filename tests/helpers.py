@@ -290,6 +290,27 @@ def ref_omega(a):
     return out
 
 
+def ref_json_obj(a):
+    """The documented JSON form of an ordinary-basis {monomial: Fraction} dict:
+    ascending weight, then the exponent vector read from t1 upward with the
+    larger vector first; coefficients in lowest terms, the sign on top."""
+
+    def order(mono):
+        weight = sum(var * exp for var, exp in mono)
+        exps = dict(mono)
+        return weight, [-exps.get(var, 0) for var in range(1, weight + 1)]
+
+    return {
+        "terms": [
+            {
+                "coeff": f"{a[mono].numerator}/{a[mono].denominator}",
+                "mono": {str(var): str(exp) for var, exp in mono},
+            }
+            for mono in sorted(a, key=order)
+        ]
+    }
+
+
 @functools.cache
 def ref_newton(n, step):
     """Coefficient of z^n in exp(sum of t_k z^k over k = 1, 1+step, ...), from the

@@ -201,6 +201,59 @@ def test_verify_json(capsys):
     assert len(data["terms"]) == 6
 
 
+def _verify_json_line(case, m, n):
+    """verify --json's line built as one json.dumps of the whole object."""
+    report = mixed.verify(case, m, n)
+    obj = {
+        "case": report.case,
+        "core_index": report.core_index,
+        "n": report.n,
+        "equal": report.equal,
+        "lhs": report.lhs.to_json_obj(),
+        "rhs": report.rhs.to_json_obj(),
+        "difference": report.difference.to_json_obj(),
+        "terms": [cli._term_record(t) for t in report.terms],
+    }
+    return json.dumps(obj) + "\n", obj
+
+
+def test_verify_json_is_the_dump_of_the_whole_object(capsys):
+    for case, m, n in (("one", 3, 2), ("zero", 2, 3), ("zero", 0, 0), ("one", 2, 9)):
+        code, out, _ = run_cli(capsys, "verify", "--case", case, "--m", str(m), "--n", str(n), "--json")
+        assert code == 0
+        assert out == _verify_json_line(case, m, n)[0], (case, m, n)
+
+
+def test_verify_json_mismatch_writes_each_side(capsys, monkeypatch):
+    # a rectangle off by t1: the sides differ, so each is written on its own
+    rect_schur = mixed.rect_schur
+    monkeypatch.setattr(mixed, "rect_schur", lambda a, b: rect_schur(a, b) + Polynomial.variable(1))
+    code, out, _ = run_cli(capsys, "verify", "--case", "one", "--m", "3", "--n", "2", "--json")
+    assert code == 1
+    line, obj = _verify_json_line("one", 3, 2)
+    assert out == line
+    assert obj["equal"] is False
+    assert obj["difference"] == {"terms": [{"coeff": "-1/1", "mono": {"1": "1"}}]}
+    assert len({json.dumps(obj[k]) for k in ("lhs", "rhs", "difference")}) == 3
+
+
+def test_equal_verify_json_serializes_the_shared_side_once(capsys, monkeypatch):
+    # one to_json_obj for both equal sides, one for the zero difference
+    calls = []
+    real = Polynomial.to_json_obj
+
+    def recording(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polynomial, "to_json_obj", recording)
+    code, out, _ = run_cli(capsys, "verify", "--case", "one", "--m", "3", "--n", "2", "--json")
+    assert code == 0
+    assert [p.is_zero for p in calls] == [False, True]
+    data = json.loads(out)
+    assert data["equal"] is True and data["lhs"] == data["rhs"]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_verify(case, m, n):
         one = Polynomial.one()

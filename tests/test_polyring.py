@@ -31,6 +31,7 @@ from helpers import (
     random_poly,
     random_skew_matrix,
     ref_add,
+    ref_json_obj,
     ref_mul,
     ref_omega,
     ref_shift2,
@@ -265,6 +266,26 @@ def test_json_form():
     # stable under json round trip
     assert json.loads(json.dumps(obj)) == obj
     assert Polynomial.zero().to_json_obj() == {"terms": []}
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials())
+@example(Polynomial.zero())
+def test_json_form_matches_ordinary_basis_reference(p):
+    # to_json_obj writes num/den without a Fraction; the reference reads only
+    # the ordinary-basis terms view, whose Fractions stay non-integral here
+    # for some caller coefficients even after scaling by w!
+    assert p.to_json_obj() == ref_json_obj(dict(p.terms))
+
+
+def test_json_form_of_small_schur_polynomials_matches_reference():
+    for n in range(9):
+        for parts in partitions_of(n):
+            p = schur_s(Partition(parts))
+            assert p.to_json_obj() == ref_json_obj(dict(p.terms)), parts
+        for parts in strict_partitions_of(n):
+            p = schur_q(StrictPartition(parts))
+            assert p.to_json_obj() == ref_json_obj(dict(p.terms)), parts
 
 
 def test_determinant_small():
