@@ -23,7 +23,7 @@ import sys
 
 from .barquot import abacus, delta_sign, quotient, inverse_quotient
 from .fock import lemma_co_sides
-from .mixed import expansion_terms, lhs, rect_shape, verify
+from .mixed import expansion_terms, lhs, resolve_case, verify
 from .partitions import CASES, Partition, StrictPartition, add_set, bar_core, case_color, check_color
 from .polyring import shift2
 from .schur import schur_q, schur_s
@@ -94,12 +94,12 @@ def _check_limit(what, size, limit):
         raise ValueError(f"{what} is over the limit of {limit}")
 
 
-def _check_rect(i, m, n, what="rectangle"):
+def _check_rect(case, m, n, what="rectangle"):
     """The rectangle's text, refusing a core index over MAX_CORE_INDEX or a
     rectangle of weight over MAX_WEIGHT.  An empty rectangle has weight 0
     whatever the core, so the core needs its own limit."""
-    _check_limit(f"core index {m if i else -m}", m, MAX_CORE_INDEX)
-    rows, cols = rect_shape(i, m, n)
+    _, core_index, (rows, cols) = resolve_case(case, m, n)
+    _check_limit(f"core index {core_index}", m, MAX_CORE_INDEX)
     text = f"{rows}x{cols}"
     _check_weight(max(rows, 0) * max(cols, 0), f"{what} {text}")
     return text
@@ -199,7 +199,7 @@ def cmd_schur_q(ns):
 
 def cmd_expand(ns):
     i, m = _resolve_case(ns.case, ns.core, ns.m)
-    _check_rect(i, m, ns.n)
+    _check_rect(CASES[i], m, ns.n)
     if ns.json:
         total, terms = lhs(CASES[i], m, ns.n)
         # Written piece by piece, one term's value at a time, and byte for byte
@@ -219,7 +219,7 @@ def cmd_expand(ns):
 
 def cmd_verify(ns):
     i, m = _resolve_case(ns.case, ns.core, ns.m)
-    rectangle = _check_rect(i, m, ns.n)
+    rectangle = _check_rect(CASES[i], m, ns.n)
     report = verify(CASES[i], m, ns.n)
     if ns.json:
         # Equal sides are one polynomial, encoded once for both slots; the
@@ -252,7 +252,7 @@ def cmd_verify_all(ns):
         raise ValueError(f"--max-m must be >= 0, got {ns.max_m}; the sweep would be empty")
     # The largest rectangle of the sweep is color 0 at m = n = max_m, with
     # weight max_m * (max_m + 1); color 1 peaks at max_m^2.
-    _check_rect(0, ns.max_m, ns.max_m, "the sweep's largest rectangle")
+    _check_rect("zero", ns.max_m, ns.max_m, "the sweep's largest rectangle")
     failures = 0
     checks = 0
     for i in (1, 0):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import index
 from typing import NamedTuple
 
 from .partitions import StrictPartition, add_set, bar_core, check_color
@@ -45,8 +46,8 @@ class Sqrt2Power(NamedTuple):
     @classmethod
     def of(cls, c, k):
         """c * sqrt2^k for any integer k, negative powers included; c is an
-        int or a Fraction, anything else is a TypeError."""
-        half, e = divmod(k, 2)
+        int or a Fraction and k an int, anything else is a TypeError."""
+        half, e = divmod(index(k), 2)
         return cls(as_fraction(c) * Fraction(2) ** half, e)
 
     def __str__(self):

@@ -1,10 +1,10 @@
 """Mixed Q*S expansions of rectangular S-polynomials, and their verification.
 
-A case is a color i, named by ``partitions.CASES[i]``, together with m >= 0.
-Color 1 ("one") expands the rectangle with 2m-n rows of length n over the node
-addition set of color 1 on the core with index m.  Color 0 ("zero") expands
-the rectangle with n rows of length 2m+1-n over the additions of color 0 on
-the core with index -m.  Each summand is the sign of the partition times the
+A case is a color i, named by ``partitions.CASES[i]``, with m >= 0, and
+:func:`resolve_case` alone gives its core index and rectangle: for color 1
+("one") index m and 2m-n rows of length n, for color 0 ("zero") index -m and n
+rows of length 2m+1-n.  The rectangle expands over the node addition set of
+color i on that core, each summand the sign of the partition times the
 Q-polynomial of its even half times the S-polynomial of its Maya half in the
 doubled variables.  Both sides vanish when the addition set is empty.
 """
@@ -19,21 +19,19 @@ from .polyring import Polynomial, shift2, sum_of_products
 from .schur import rect_schur, schur_q, schur_s
 
 
-def _case(case, m, n):
-    """Color and core index of a named case, refusing a negative m or n."""
+def resolve_case(case, m, n):
+    """(color, core index, (rows, cols)) of a named case, refusing a negative
+    m or n.  With top = 2m + 1 - color, color 1 has core index m and the
+    (top - n) x n rectangle, color 0 core index -m and n x (top - n)."""
     i = case_color(case)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return i, m if i else -m
-
-
-def rect_shape(i, m, n):
-    """(rows, cols) of the rectangle on the right hand side for color i."""
+    top = 2 * m + 1 - i
     if i:
-        return 2 * m - n, n
-    return n, 2 * m + 1 - n
+        return i, m, (top - n, n)
+    return i, -m, (n, top - n)
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class VerificationReport:
 def expansion_terms(case, m, n):
     """The summands' records, ordered like the addition set itself
     (decreasing lexicographic in mu); no polynomial is built."""
-    i, core_index = _case(case, m, n)
+    i, core_index, _ = resolve_case(case, m, n)
     terms = []
     for mu in add_set(bar_core(core_index), i, n):
         tri = quotient(mu)
@@ -87,8 +85,7 @@ def lhs(case, m, n):
 
 def rhs(case, m, n):
     """Rectangle side of the identity."""
-    i, _ = _case(case, m, n)
-    return rect_schur(*rect_shape(i, m, n))
+    return rect_schur(*resolve_case(case, m, n)[2])
 
 
 def verify(case, m, n):
@@ -98,7 +95,7 @@ def verify(case, m, n):
     equal = left == right  # storage is canonical: equal exactly when left - right is 0
     return VerificationReport(
         case=case,
-        core_index=_case(case, m, n)[1],
+        core_index=resolve_case(case, m, n)[1],
         n=n,
         lhs=left,
         rhs=right,

@@ -3,12 +3,13 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import schurmix
 import schurmix.cli as cli
 import schurmix.mixed as mixed
-from schurmix.mixed import VerificationReport, lhs
+from schurmix.mixed import VerificationReport, lhs, verify
 from schurmix.partitions import bar_core
 from schurmix.polyring import Polynomial
 
@@ -283,6 +284,21 @@ def test_verify_all_command(capsys):
     assert "zero m=0 n=0 equal=true" in lines
 
 
+def test_verify_all_counts_a_failed_check(capsys, monkeypatch):
+    def one_unequal(case, m, n):
+        report = verify(case, m, n)
+        if (case, m, n) == ("zero", 1, 2):
+            return replace(report, equal=False)
+        return report
+
+    monkeypatch.setattr(cli, "verify", one_unequal)
+    code, out, _ = run_cli(capsys, "verify-all", "--max-m", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith("equal=false")] == ["zero m=1 n=2 equal=false"]
+    assert lines[-1] == "all: 36 checks, 1 failed"
+
+
 def test_verify_all_empty_sweep_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify-all", "--max-m", "-3")
     assert code == 2
@@ -523,6 +539,13 @@ def test_conflicting_flags(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "1")
     assert code == 2
     assert "error:" in err
+    code, _, err = run_cli(capsys, "verify", "--m", "3", "--n", "2")
+    assert code == 2
+    assert err == "error: missing --case\n"
+    # a negative m is refused by its own message, before any rectangle or core limit
+    code, _, err = run_cli(capsys, "verify", "--case", "zero", "--m", "-3", "--n", "1")
+    assert code == 2
+    assert err == "error: m must be >= 0, got -3\n"
 
 
 def test_unknown_flag(capsys):

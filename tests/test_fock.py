@@ -41,6 +41,11 @@ def test_sqrt2_powers():
     # the coefficient is exact: int or Fraction, never float
     with pytest.raises(TypeError):
         Sqrt2Power.of(0.5, 1)
+    # and the exponent an int: a float one would make c a float
+    with pytest.raises(TypeError):
+        Sqrt2Power.of(1, 1.5)
+    with pytest.raises(TypeError):
+        Sqrt2Power.of(1, 2.0)
 
 
 def test_sqrt2_str():

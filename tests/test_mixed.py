@@ -1,7 +1,7 @@
 import pytest
 
 from schurmix import mixed
-from schurmix.mixed import expansion_terms, lhs, rect_shape, rhs, verify
+from schurmix.mixed import expansion_terms, lhs, resolve_case, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial
 from schurmix.schur import rect_schur, schur_s
@@ -45,8 +45,8 @@ def test_negative_core_worked_expansion():
 
 
 def test_rect_shape_by_case():
-    assert rect_shape(1, 3, 2) == (4, 2)
-    assert rect_shape(0, 2, 2) == (2, 3)
+    assert resolve_case("one", 3, 2) == (1, 3, (4, 2))
+    assert resolve_case("zero", 2, 2) == (0, -2, (2, 3))
 
 
 def test_degenerate_rectangles():
@@ -96,10 +96,10 @@ def test_term_count_matches_add_set():
 
 
 def test_terms_are_homogeneous_of_rectangle_weight():
-    for i, case in enumerate(CASES):
+    for case in CASES:
         for m in range(4):
             for n in range(2 * m + 4):
-                rows, cols = rect_shape(i, m, n)
+                rows, cols = resolve_case(case, m, n)[2]
                 area = rows * cols
                 terms = expansion_terms(case, m, n)
                 for t in terms:
@@ -158,7 +158,9 @@ def test_rhs_is_rectangle():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         verify("two", 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
         verify("one", -1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -2$"):
         lhs("one", 0, -2)
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        rhs("zero", 3, -1)
