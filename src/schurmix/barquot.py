@@ -8,20 +8,18 @@ the parts congruent to 1 and 3 mod 4.  The map is a bijection; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, StrictPartition
 
 
-@dataclass(frozen=True)
-class QuotientTriple:
+class QuotientTriple(NamedTuple):
     charge: int
     q0: StrictPartition
     q1: Partition
 
 
-@dataclass(frozen=True)
-class BarAbacus:
+class BarAbacus(NamedTuple):
     """Bead positions split over the three runners.
 
     The left runner holds even positions, the central runner positions

@@ -37,11 +37,29 @@ from .partitions import StrictPartition, add_set, bar_core, check_color
 from .polyring import as_fraction
 
 
-class Sqrt2Power(NamedTuple):
-    """Nonzero number c * sqrt2^e with rational c and e in {0, 1}."""
-
+class _Sqrt2PowerFields(NamedTuple):
     c: Fraction
     e: int
+
+
+class Sqrt2Power(_Sqrt2PowerFields):
+    """Nonzero number c * sqrt2^e with rational c and e in {0, 1}.
+
+    Construction checks both: c must be an int or a Fraction and is held as a
+    Fraction, e must be an int (TypeError otherwise) in {0, 1} (ValueError
+    otherwise).  typing.NamedTuple forbids a __new__ of its own, so the checks
+    live in this subclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, c, e):
+        if type(c) is not Fraction:
+            c = as_fraction(c)
+        e = index(e)
+        if e not in (0, 1):
+            raise ValueError(f"sqrt2 exponent must be 0 or 1, got {e}")
+        return super().__new__(cls, c, e)
 
     @classmethod
     def of(cls, c, k):

@@ -11,12 +11,14 @@ doubled variables.  Both sides vanish when the addition set is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .barquot import delta_sign, quotient
 from .partitions import Partition, StrictPartition, add_set, bar_core, case_color
 from .polyring import Polynomial, shift2, sum_of_products
 from .schur import rect_schur, schur_q, schur_s
+
+_ONE = Polynomial.one()
 
 
 def resolve_case(case, m, n):
@@ -34,25 +36,19 @@ def resolve_case(case, m, n):
     return i, -m, (n, top - n)
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     mu: StrictPartition
     sign: int
     q0: StrictPartition
     q1: Partition
 
-    def factors(self):
-        """(sign, Q, S(t2)) of this summand, a sum_of_products triple."""
-        return self.sign, schur_q(self.q0), shift2(schur_s(self.q1))
-
     @property
     def value(self):
         """The summand sign * Q * S(t2), computed when read."""
-        return sum_of_products((self.factors(),))
+        return sum_of_products(((self.sign, schur_q(self.q0), shift2(schur_s(self.q1))),))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     case: str
     core_index: int
     n: int
@@ -60,7 +56,7 @@ class VerificationReport:
     rhs: Polynomial
     equal: bool
     difference: Polynomial
-    terms: list = field(default_factory=list)
+    terms: list
 
 
 def expansion_terms(case, m, n):
@@ -77,10 +73,19 @@ def expansion_terms(case, m, n):
 def lhs(case, m, n):
     """Expansion side: signed Q*S(t2) products over the addition set.
 
-    Returns the total polynomial together with the expansion_terms records.
+    Summands that share a Q are grouped: their signed S-polynomials are summed
+    first, and since shift2 is linear, each distinct Q multiplies one shifted
+    sum.  Returns the total polynomial together with the expansion_terms
+    records.
     """
     terms = expansion_terms(case, m, n)
-    return sum_of_products(term.factors() for term in terms), terms
+    groups = {}
+    for term in terms:
+        groups.setdefault(term.q0, []).append((term.sign, _ONE, schur_s(term.q1)))
+    total = sum_of_products(
+        (1, schur_q(q0), shift2(sum_of_products(group))) for q0, group in groups.items()
+    )
+    return total, terms
 
 
 def rhs(case, m, n):

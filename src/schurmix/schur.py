@@ -8,16 +8,22 @@ such sums of divided powers.  S-polynomials come from the h Jacobi-Trudi
 determinant in the smaller of its two orientations: a shape with fewer columns
 than rows is built from its conjugate, whose determinant has size lam_1 rather
 than len(lam), and mapped back by the involution omega (S_lam' = omega(S_lam),
-omega: tj -> (-1)^(j+1) tj).  Q-polynomials come from the Pfaffian of the
-two-row building blocks.
+omega: tj -> (-1)^(j+1) tj).  Q-polynomials expand the Pfaffian of the
+two-row building blocks along its first row, whose minors are the
+Q-polynomials of smaller strict partitions (Macdonald III.8):
+
+    Q_lam = sum over j >= 2 of (-1)^j q_(lam_1, lam_j) Q_(lam without lam_1, lam_j),
+
+with lam zero-padded to even length.  Each minor is a cached schur_q call, so
+a sub-Q is built once per process, whichever Q first asked for it.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .partitions import Partition
-from .polyring import Polynomial, determinant, divided_powers, omega, pfaffian, sum_of_products
+from .partitions import Partition, StrictPartition
+from .polyring import Polynomial, determinant, divided_powers, omega, sum_of_products
 
 
 @functools.cache
@@ -59,14 +65,22 @@ def schur_s(lam):
 
 @functools.cache
 def schur_q(lam):
-    """Q-polynomial of a strict partition: Pfaffian of the q_pair matrix.
+    """Q-polynomial of a strict partition, expanded along its largest part.
 
-    Odd length partitions get a single trailing 0, so seq strictly decreases
-    and the upper triangle, all pfaffian reads, holds q_pair(a, b) with a > b.
+    Odd length partitions get a single trailing 0, so the padded parts
+    strictly decrease and every pair is a q_pair(a, b) with a > b.  The term of
+    each b after the head recurses into the strict partition left after
+    removing the head, b and the 0: the minor of the Pfaffian of the q_pair
+    matrix.
     """
     parts = lam.parts
-    seq = parts if len(parts) % 2 == 0 else parts + (0,)
-    return pfaffian([[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)])
+    if not parts:
+        return Polynomial.one()
+    head, *rest = parts if len(parts) % 2 == 0 else parts + (0,)
+    return sum_of_products(
+        ((-1) ** k, q_pair(head, b), schur_q(StrictPartition(p for p in rest if p and p != b)))
+        for k, b in enumerate(rest)
+    )
 
 
 def rect_schur(a, b):

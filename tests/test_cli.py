@@ -3,7 +3,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import schurmix
@@ -288,7 +287,7 @@ def test_verify_all_counts_a_failed_check(capsys, monkeypatch):
     def one_unequal(case, m, n):
         report = verify(case, m, n)
         if (case, m, n) == ("zero", 1, 2):
-            return replace(report, equal=False)
+            return report._replace(equal=False)
         return report
 
     monkeypatch.setattr(cli, "verify", one_unequal)

@@ -46,6 +46,13 @@ def test_sqrt2_powers():
         Sqrt2Power.of(1, 1.5)
     with pytest.raises(TypeError):
         Sqrt2Power.of(1, 2.0)
+    # direct construction checks the same: an exact c and e in {0, 1}
+    with pytest.raises(TypeError):
+        Sqrt2Power(0.5, 1)
+    with pytest.raises(ValueError):
+        Sqrt2Power(Fraction(1), 3)
+    with pytest.raises(ValueError):
+        Sqrt2Power(Fraction(1), -1)
 
 
 def test_sqrt2_str():

@@ -3,7 +3,7 @@ import pytest
 from schurmix import mixed
 from schurmix.mixed import expansion_terms, lhs, resolve_case, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
-from schurmix.polyring import Polynomial
+from schurmix.polyring import Polynomial, shift2
 from schurmix.schur import rect_schur, schur_s
 
 
@@ -117,6 +117,24 @@ def test_total_is_the_sum_of_the_term_values():
             for n in range(2 * m + 4):
                 total, terms = lhs(case, m, n)
                 assert total == sum((t.value for t in terms), Polynomial.zero()), (case, m, n)
+
+
+def test_lhs_shifts_once_per_distinct_q(monkeypatch):
+    # summands sharing a Q are summed before the shift, so shift2 runs once
+    # per distinct q0, not once per summand
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return shift2(p)
+
+    monkeypatch.setattr(mixed, "shift2", counting)
+    for case, m, n in (("one", 3, 2), ("zero", 3, 4), ("one", 4, 5)):
+        calls.clear()
+        total, terms = lhs(case, m, n)
+        distinct = len({t.q0 for t in terms})
+        assert len(calls) == distinct < len(terms), (case, m, n)
+        assert total == rect_schur(*resolve_case(case, m, n)[2])
 
 
 def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():

@@ -6,7 +6,7 @@ import pytest
 
 from schurmix import polyring, schur
 from schurmix.partitions import Partition, StrictPartition
-from schurmix.polyring import Polynomial, determinant, omega
+from schurmix.polyring import Polynomial, determinant, omega, pfaffian
 from schurmix.schur import (
     complete_h,
     q_fun,
@@ -172,8 +172,9 @@ def test_q_pair_values():
 
 
 def test_schur_q_asks_q_pair_only_for_m_above_n(monkeypatch):
-    # the upper triangle of a strictly decreasing, zero-padded seq; nothing
-    # is cached, so every pair schur_q needs reaches the recorder
+    # the head of a strictly decreasing, zero-padded seq paired with each
+    # later entry; the top call is not cached, so all of its pairs reach the
+    # recorder
     asked = []
 
     def recorder(m, n):
@@ -196,6 +197,19 @@ def test_schur_q_basics():
     for parts in ((3, 1), (4, 2, 1), (5, 3)):
         lam = StrictPartition(parts)
         assert schur_q(lam).homogeneous_degree() == lam.weight
+
+
+def test_schur_q_matches_the_pfaffian():
+    # the recursion through cached smaller Qs against the memoised Pfaffian of
+    # the whole q_pair upper triangle, zero pad included
+    cases = 0
+    for weight in range(15):
+        for parts in strict_partitions_of(weight):
+            seq = parts if len(parts) % 2 == 0 else parts + (0,)
+            upper = [[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)]
+            assert schur_q(StrictPartition(parts)) == pfaffian(upper), parts
+            cases += 1
+    assert cases == 110
 
 
 def test_schur_q_final_column_expansion():
