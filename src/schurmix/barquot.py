@@ -4,10 +4,16 @@ A strict partition decomposes into an integer charge, a strict partition read
 off the even parts, and an ordinary partition read off the Maya diagram of
 the parts congruent to 1 and 3 mod 4.  The map is a bijection; see
 :func:`quotient` and :func:`inverse_quotient`.
+
+Both directions take checked partitions only: a StrictPartition to split, a
+StrictPartition and a Partition to join (TypeError otherwise), as does
+:func:`delta_sign`.  The partitions they return are built from those checked
+parts, are valid by construction and are not checked again.
 """
 
 from __future__ import annotations
 
+from operator import add, index
 from typing import NamedTuple
 
 from .partitions import Partition, StrictPartition
@@ -70,6 +76,8 @@ def quotient(lam):
     times, gap_s counting the entries strictly between the s-th and the
     (s+1)-th excluded entry from the top (the 0-th being 0).
     """
+    if not isinstance(lam, StrictPartition):
+        raise TypeError(f"quotient: lam must be a StrictPartition, got {lam!r}")
     halves = []
     heads = []  # t + k for the k-th part 4t+1
     tail = []  # q1's tail, smallest entries first
@@ -94,29 +102,43 @@ def quotient(lam):
     parts += reversed(tail)
     while parts and not parts[-1]:
         parts.pop()
-    return QuotientTriple(charge, StrictPartition(halves), Partition(parts))
+    return QuotientTriple(
+        charge, StrictPartition._unchecked(tuple(halves)), Partition._unchecked(tuple(parts))
+    )
 
 
 def inverse_quotient(charge, q0, q1):
     """Rebuild the strict partition with the given quotient data.
 
-    Inverse of :func:`quotient`: the k-th Maya entry is q1_k + charge - k,
+    Inverse of :func:`quotient`: the k-th Maya entry is e_k = q1_k + charge - k,
     non-negative entries e give parts 4e+1, missing negative entries j give
     parts -4j-1, and q0 doubles back into the even parts.
+
+    One pass over q1 reads the entries from the top; the negatives skipped
+    between two entries are the missing ones.  Past q1 the entries are
+    charge - k, all present, so the pass ends with the non-negative ones among
+    them and the negatives skipped above the first of them.
     """
-    evens = [2 * s for s in q0.parts]
-    pi = q1.parts
-    count = max(len(pi), charge, 0)
-    prefix = [
-        (pi[k - 1] if k <= len(pi) else 0) + charge - k for k in range(1, count + 1)
-    ]
-    ones = [4 * e + 1 for e in prefix if e >= 0]
-    present = set(prefix)
-    # Entries below charge - count are all present, so only a finite window
-    # of negatives can be missing.
-    tail_top = charge - count - 1
-    threes = [-4 * j - 1 for j in range(-1, tail_top, -1) if j not in present]
-    return StrictPartition(tuple(sorted(evens + ones + threes, reverse=True)))
+    charge = index(charge)
+    if not isinstance(q0, StrictPartition):
+        raise TypeError(f"inverse_quotient: q0 must be a StrictPartition, got {q0!r}")
+    if not isinstance(q1, Partition):
+        raise TypeError(f"inverse_quotient: q1 must be a Partition, got {q1!r}")
+    parts = [s << 1 for s in q0.parts]
+    gap = 3  # part -4j-1 of the highest negative j not yet passed
+    n = len(q1.parts)
+    for e in map(add, q1.parts, range(charge - 1, charge - n - 1, -1)):
+        if e >= 0:
+            parts.append(4 * e + 1)
+        else:
+            parts += range(gap, -4 * e - 1, 4)
+            gap = -4 * e + 3
+    # the first entry past q1; it and every later one are present
+    top = charge - n - 1
+    parts += range(4 * top + 1, 0, -4)
+    parts += range(gap, -4 * top - 1, 4)
+    parts.sort(reverse=True)
+    return StrictPartition._unchecked(tuple(parts))
 
 
 def abacus(lam, core_index):
@@ -142,6 +164,8 @@ def delta_sign(lam, core_index):
     One pass over the parts, smallest first, counts the left beads seen so
     far, the bead on 0 included, and adds that count at each central bead.
     """
+    if not isinstance(lam, StrictPartition):
+        raise TypeError(f"delta_sign: lam must be a StrictPartition, got {lam!r}")
     parts = lam.parts
     left = int(core_index < 0 and len(parts) == -core_index)
     pairs = 0

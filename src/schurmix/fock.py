@@ -29,6 +29,7 @@ the reference the tests hold the path counts to.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from operator import index
 from typing import NamedTuple
@@ -142,7 +143,9 @@ def lemma_co_sides(i, core_index, ell):
     """Divided power side and weighted sum side of the core expansion.
 
     Each side is a {StrictPartition: Sqrt2Power} dict in decreasing
-    lexicographic order of parts.
+    lexicographic order of parts.  The path counts walk from the core by
+    valid steps, so their states are strict and their keys are not checked
+    again.
     """
     check_color(i, core_index)
     if ell < 0:
@@ -153,10 +156,12 @@ def lemma_co_sides(i, core_index, ell):
     left = {}
     for parts, count in sorted(_path_counts(i, core.parts, ell).items(), reverse=True):
         scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
-        left[StrictPartition(parts)] = Sqrt2Power(scale, odd)
-    # add_set yields distinct states in decreasing lexicographic order already.
+        left[StrictPartition._unchecked(parts)] = Sqrt2Power(scale, odd)
+    # add_set yields distinct states in decreasing lexicographic order already;
+    # the few distinct powers are each built once.
     eps = core_index % 2
-    right = {lam: Sqrt2Power.of(1, a_count(lam) - eps) for lam in add_set(core, i, ell)}
+    power = cache(lambda k: Sqrt2Power.of(1, k - eps))
+    right = {lam: power(a_count(lam)) for lam in add_set(core, i, ell)}
     return left, right
 
 

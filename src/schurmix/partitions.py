@@ -7,6 +7,11 @@ color to a strict partition produces the sets enumerated by :func:`add_set`.
 
 A case of the expansion is a color: case "one" grows cores with index >= 0
 by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
+
+``Partition(...)`` and ``StrictPartition(...)`` check every part.  A partition
+the library builds itself from checked inputs, such as each result of
+:func:`add_set`, is valid by construction and wrapped by
+``Partition._unchecked`` without a second check.
 """
 
 from __future__ import annotations
@@ -38,6 +43,17 @@ class Partition:
         ):
             _reject(parts)
         self.parts = parts
+
+    @classmethod
+    def _unchecked(cls, parts):
+        """Wrap a parts tuple that is valid by construction, checking nothing.
+
+        Only for parts the library itself builds from checked inputs; every
+        other caller goes through the checking constructor.
+        """
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
 
     @property
     def weight(self):
@@ -137,8 +153,12 @@ def add_set(lam, i, ell):
     A result mu contains lam row by row, has weight |lam| + ell, and every node
     of mu outside lam sits in a column of color i.  New rows below lam are
     allowed.  Results are yielded one at a time, each once, in decreasing
-    lexicographic order of parts; the arguments are checked at the call.
+    lexicographic order of parts; the arguments are checked at the call, and
+    lam must be a StrictPartition (TypeError otherwise), so no result is
+    checked again.
     """
+    if not isinstance(lam, StrictPartition):
+        raise TypeError(f"add_set: lam must be a StrictPartition, got {lam!r}")
     check_color(i)
     if ell < 0:
         raise ValueError(f"node count must be non-negative, got {ell}")
@@ -153,13 +173,15 @@ def add_set(lam, i, ell):
 
 
 def _grow(bases, gain, ell):
-    """Row-by-row search behind add_set.
+    """Row-by-row search behind add_set; bases is lam's parts and a 0.
 
     The stack holds partial results, the rows filled so far and the nodes
     left.  A row's fills are pushed smallest first, so the largest is popped
     first and results come out in decreasing lexicographic order.  cap[row] is
     the most color i nodes the rows from row down can take, so a partial
-    result that needs more is dropped at once.
+    result that needs more is dropped at once.  A finished result is the
+    filled rows, each below the one above it and at least its own base, then
+    lam's untouched rows, so it is strict and is not checked again.
     """
     cap = [*accumulate(reversed(gain), initial=0)][::-1]
     stack = [((), ell)]
@@ -167,7 +189,7 @@ def _grow(bases, gain, ell):
         acc, budget = stack.pop()
         row = len(acc)
         if budget == 0:
-            yield StrictPartition(acc + tuple(b for b in bases[row:] if b))
+            yield StrictPartition._unchecked(acc + bases[row:-1])
             continue
         if budget > cap[row]:
             continue

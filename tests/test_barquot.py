@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from schurmix.barquot import (
@@ -8,6 +9,7 @@ from schurmix.barquot import (
     inverse_quotient,
     quotient,
 )
+from schurmix.fock import lemma_co_sides
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core
 
 from helpers import quotient_by_maya, random_strict_parts, random_weak_parts, strict_parts
@@ -21,6 +23,19 @@ def addition_set_results():
             for ell in range(2 * len(core) + 2):
                 for mu in add_set(core, i, ell):
                     yield mu, core_index
+
+
+def assert_checks_pass(x):
+    """x, built without a check, holds a tuple that the checking constructor accepts."""
+    assert type(x.parts) is tuple, x
+    assert type(x)(x.parts) == x
+
+
+def assert_bijection_builds_checked(mu):
+    tri = quotient(mu)
+    assert_checks_pass(tri.q0)
+    assert_checks_pass(tri.q1)
+    assert_checks_pass(inverse_quotient(tri.charge, tri.q0, tri.q1))
 
 
 def bead_pair_sign(lam, core_index):
@@ -89,6 +104,7 @@ def test_quotient_round_trip_property(parts):
     mu = StrictPartition(parts)
     tri = quotient(mu)
     assert inverse_quotient(tri.charge, tri.q0, tri.q1) == mu
+    assert_bijection_builds_checked(mu)
 
 
 def test_round_trip_random():
@@ -105,6 +121,61 @@ def test_round_trip_random():
         lam = inverse_quotient(charge, q0, q1)
         tri = quotient(lam)
         assert (tri.charge, tri.q0, tri.q1) == (charge, q0, q1)
+
+
+def test_everything_built_unchecked_passes_the_checks():
+    count = 0
+    for mu, _ in addition_set_results():
+        assert type(mu) is StrictPartition
+        assert_checks_pass(mu)
+        assert_bijection_builds_checked(mu)
+        count += 1
+    assert count == 9840
+    for core_index in range(-7, 8):
+        core = bar_core(core_index)
+        for i in (0, 1) if core_index == 0 else (int(core_index > 0),):
+            for ell in range(2 * len(core) + 2):
+                for side in lemma_co_sides(i, core_index, ell):
+                    for lam in side:
+                        assert type(lam) is StrictPartition
+                        assert_checks_pass(lam)
+
+
+def test_inverse_quotient_window_edges():
+    # The Maya entries come from q1, then from the tail charge - k past it:
+    # q1 empty leaves them all to the tail, one part splits them, and more
+    # parts than |charge| leave the tail only negative entries.
+    q1s = [(), (1,), (4,), (2, 2, 1), (5, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1), (1,) * 14]
+    for charge in range(-12, 13):
+        for q0 in map(StrictPartition, ((), (1,), (6, 3, 2))):
+            for q1 in map(Partition, q1s):
+                lam = inverse_quotient(charge, q0, q1)
+                assert_checks_pass(lam)
+                assert quotient_by_maya(lam) == (charge, q0, q1), (charge, q0, q1)
+
+
+def test_bijection_refuses_unchecked_input():
+    # A Partition is not checked to be strict, so the map would read repeated
+    # parts as if they were distinct.
+    for parts in ((3, 3), (2, 2), (3, 1)):
+        with pytest.raises(TypeError, match="quotient: lam must be a StrictPartition"):
+            quotient(Partition(parts))
+    with pytest.raises(TypeError, match="quotient: lam must be a StrictPartition"):
+        quotient((3, 1))
+    with pytest.raises(TypeError, match="delta_sign: lam must be a StrictPartition"):
+        delta_sign(Partition((5, 5)), 0)
+    with pytest.raises(TypeError, match="delta_sign: lam must be a StrictPartition"):
+        delta_sign((5,), 0)
+    with pytest.raises(TypeError, match="inverse_quotient: q0 must be a StrictPartition"):
+        inverse_quotient(0, Partition((2, 2)), Partition())
+    with pytest.raises(TypeError, match="inverse_quotient: q0 must be a StrictPartition"):
+        inverse_quotient(0, (1,), Partition())
+    with pytest.raises(TypeError, match="inverse_quotient: q1 must be a Partition"):
+        inverse_quotient(0, StrictPartition(), (2, 1))
+    with pytest.raises(TypeError, match="inverse_quotient: q1 must be a Partition"):
+        inverse_quotient(0, StrictPartition(), [0])
+    with pytest.raises(TypeError):
+        inverse_quotient(1.0, StrictPartition(), Partition())
 
 
 def test_abacus_runner_assignment():

@@ -254,3 +254,7 @@ def test_add_set_rejects_bad_arguments():
         add_set(lam, 2, 1)
     with pytest.raises(ValueError):
         add_set(lam, 0, -1)
+    # results are not checked again, so a non-strict lam is refused up front
+    for bad in (Partition((3, 1)), Partition((2, 2)), (3, 1)):
+        with pytest.raises(TypeError, match="add_set: lam must be a StrictPartition"):
+            add_set(bad, 0, 1)
