@@ -47,9 +47,9 @@ class Sqrt2Power(_Sqrt2PowerFields):
     """Nonzero number c * sqrt2^e with rational c and e in {0, 1}.
 
     Construction checks both: c must be an int or a Fraction and is held as a
-    Fraction, e must be an int (TypeError otherwise) in {0, 1} (ValueError
-    otherwise).  typing.NamedTuple forbids a __new__ of its own, so the checks
-    live in this subclass.
+    Fraction, e must be an int (TypeError otherwise); c must be nonzero and e
+    in {0, 1} (ValueError otherwise).  typing.NamedTuple forbids a __new__ of
+    its own, so the checks live in this subclass.
     """
 
     __slots__ = ()
@@ -58,6 +58,8 @@ class Sqrt2Power(_Sqrt2PowerFields):
         if type(c) is not Fraction:
             c = as_fraction(c)
         e = index(e)
+        if not c:
+            raise ValueError("sqrt2 coefficient must be nonzero")
         if e not in (0, 1):
             raise ValueError(f"sqrt2 exponent must be 0 or 1, got {e}")
         return super().__new__(cls, c, e)

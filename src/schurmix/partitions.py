@@ -8,16 +8,16 @@ color to a strict partition produces the sets enumerated by :func:`add_set`.
 A case of the expansion is a color: case "one" grows cores with index >= 0
 by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 
-``Partition(...)`` and ``StrictPartition(...)`` check every part.  A partition
-the library builds itself from checked inputs, such as each result of
-:func:`add_set`, is valid by construction and wrapped by
-``Partition._unchecked`` without a second check.
+``Partition(...)`` and ``StrictPartition(...)`` check every part in one pass.
+A partition the library builds itself from checked inputs, such as each result
+of :func:`add_set`, is valid by construction and wrapped by
+``Partition._unchecked`` without a second check.  Either way a partition cannot
+be changed after it is built, so a checked one stays valid.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import ge, gt
 
 # A case name's index is its color.
 CASES = ("zero", "one")
@@ -27,22 +27,32 @@ class Partition:
     """Weakly decreasing tuple of positive integers; () is the empty partition.
 
     Every part must be of type int, so a float, a string or a bool is a TypeError.
+    The parts are checked in one pass, left to right, and the first bad part
+    decides the error; StrictPartition refuses a tie only after the pass, so
+    a later bad part is the one reported.  A partition cannot be changed after
+    it is built: assigning or deleting ``parts`` is an AttributeError.
     """
 
     __slots__ = ("parts",)
-    _order = ge  # how each part compares with the next; StrictPartition uses gt
+    _strict = False  # StrictPartition also refuses equal parts
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        # C-level passes accept every valid tuple; only a rejected one is
-        # walked part by part, to name the first bad part.
-        if parts and not (
-            {*map(type, parts)} <= {int}
-            and all(map(self._order, parts, parts[1:]))
-            and parts[-1] > 0
-        ):
-            _reject(parts)
-        self.parts = parts
+        tie = False
+        prev = None
+        for p in parts:
+            if type(p) is not int:
+                raise TypeError(f"parts must be int, got {p!r}")
+            if p < 1:
+                raise ValueError(f"parts must be positive, got {p}")
+            if prev is not None and p >= prev:
+                if p > prev:
+                    raise ValueError(f"parts must be decreasing, got {parts}")
+                tie = True
+            prev = p
+        if tie and self._strict:
+            raise ValueError(f"parts must be strictly decreasing, got {parts}")
+        _set_parts(self, parts)
 
     @classmethod
     def _unchecked(cls, parts):
@@ -52,8 +62,17 @@ class Partition:
         other caller goes through the checking constructor.
         """
         self = object.__new__(cls)
-        self.parts = parts
+        _set_parts(self, parts)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} cannot be changed after it is built")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} cannot be changed after it is built")
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
 
     @property
     def weight(self):
@@ -101,19 +120,11 @@ class StrictPartition(Partition):
     """Partition with pairwise distinct parts."""
 
     __slots__ = ()
-    _order = gt
+    _strict = True
 
 
-def _reject(parts):
-    """Raise the error for the first bad part of a rejected parts tuple."""
-    for k, p in enumerate(parts):
-        if type(p) is not int:
-            raise TypeError(f"parts must be int, got {p!r}")
-        if p < 1:
-            raise ValueError(f"parts must be positive, got {p}")
-        if k and parts[k - 1] < p:
-            raise ValueError(f"parts must be decreasing, got {parts}")
-    raise ValueError(f"parts must be strictly decreasing, got {parts}")
+# The one way to write the slot, since __setattr__ refuses every assignment.
+_set_parts = Partition.parts.__set__
 
 
 def color(j):

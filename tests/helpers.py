@@ -34,6 +34,34 @@ def strict_partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
+def partition_error(parts, strict):
+    """Independent spec of the partition check: (exception type, message) for
+    a parts tuple that Partition (strict False) or StrictPartition (strict
+    True) refuses, None for one it accepts.
+
+    The longest good prefix, int parts that are positive and weakly
+    decreasing, is measured first; the part after it is refused for the first
+    of those three that it breaks.  A tuple with no bad part is refused as
+    strict only when its set of parts is smaller than the tuple.
+    """
+    good = 0
+    while good < len(parts):
+        p = parts[good]
+        if type(p) is not int or p < 1 or (good and p > parts[good - 1]):
+            break
+        good += 1
+    if good < len(parts):
+        p = parts[good]
+        if type(p) is not int:
+            return TypeError, f"parts must be int, got {p!r}"
+        if p < 1:
+            return ValueError, f"parts must be positive, got {p}"
+        return ValueError, f"parts must be decreasing, got {parts}"
+    if strict and len(set(parts)) < len(parts):
+        return ValueError, f"parts must be strictly decreasing, got {parts}"
+    return None
+
+
 def random_strict_parts(rng, max_weight=60, max_part=16, max_len=7):
     while True:
         k = rng.randint(0, max_len)

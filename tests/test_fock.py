@@ -53,6 +53,13 @@ def test_sqrt2_powers():
         Sqrt2Power(Fraction(1), 3)
     with pytest.raises(ValueError):
         Sqrt2Power(Fraction(1), -1)
+    # and a nonzero c, however it is reached
+    with pytest.raises(ValueError, match="nonzero"):
+        Sqrt2Power(0, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        Sqrt2Power(Fraction(0), 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        Sqrt2Power.of(0, 3)
 
 
 def test_sqrt2_str():

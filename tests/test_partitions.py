@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from contextlib import contextmanager
 
@@ -6,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmix import partitions
+from schurmix.barquot import inverse_quotient, quotient
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core, color
 
-from helpers import closure_oracle, strict_parts
+from helpers import closure_oracle, partition_error, strict_parts
 
 
 def test_color_period():
@@ -61,6 +64,56 @@ def test_partition_validation():
         assert message in str(info.value), (parts, str(info.value))
     assert Partition.from_text("3,1").parts == (3, 1)
     assert Partition((3, 1)).conjugate().parts == (2, 1, 1)
+    assert Partition((1,)) != 1 and not Partition((1,)) == 1
+
+
+# Parts that break each rule: other types, an int subclass, non-positive ints,
+# and a few small ints so that ties and rises come up often.
+_mixed_parts = st.one_of(
+    st.integers(1, 4),
+    st.integers(-2, 0),
+    st.booleans(),
+    st.floats(-2, 4),
+    st.text(max_size=1),
+    st.integers(0, 4).map(_IntSubclass),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_mixed_parts, max_size=6), st.lists(st.integers(0, 4), max_size=6))
+def test_partition_check_matches_spec(mixed, plain):
+    # plain keeps ties and rises among valid ints, which mixed often hides
+    # behind an earlier bad part
+    for parts in (tuple(mixed), tuple(plain), tuple(sorted(plain, reverse=True))):
+        for cls in (Partition, StrictPartition):
+            expected = partition_error(parts, cls is StrictPartition)
+            try:
+                got = cls(parts)
+            except (TypeError, ValueError) as exc:
+                assert (type(exc), str(exc)) == expected, (cls, parts)
+            else:
+                assert expected is None, (cls, parts)
+                assert got.parts == parts
+
+
+def test_partitions_cannot_be_changed():
+    # The bijection trusts a StrictPartition without checking it again, so a
+    # changed q0 would come back as the non-strict 6,6.
+    q = quotient(StrictPartition((6, 2)))
+    mu = next(add_set(bar_core(2), 1, 3))
+    for lam in (StrictPartition((6, 2)), Partition((2, 2)), mu, q.q0, q.q1):
+        with pytest.raises(AttributeError):
+            lam.parts = (3, 3)
+        with pytest.raises(AttributeError):
+            del lam.parts
+        with pytest.raises(AttributeError):
+            lam.extra = 1
+    assert q.q0.parts == (3, 1)
+    assert inverse_quotient(q.charge, q.q0, q.q1) == StrictPartition((6, 2))
+    # a copy or a pickle round trip is still the same partition, checked again
+    for lam in (StrictPartition((5, 1)), Partition((2, 2)), mu):
+        for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+            assert type(twin) is type(lam) and twin == lam
 
 
 def test_partition_basics():

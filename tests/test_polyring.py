@@ -114,6 +114,13 @@ def test_polynomial_arithmetic():
     assert as_polynomial(3) == Polynomial.constant(3)
     with pytest.raises(ValueError):
         as_polynomial("nope")
+    # a non-number operand is refused, never coerced
+    assert not p == "x" and p != "x"
+    for op in (lambda: p + "x", lambda: p - "x", lambda: "x" - p, lambda: p * "x"):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_ring_axioms_random():
