@@ -1,4 +1,4 @@
-"""Four-runner bar abacus, the quotient bijection, and the bead pair sign.
+"""Three-runner bar abacus, the quotient bijection, and the bead pair sign.
 
 A strict partition decomposes into an integer charge, a strict partition read
 off the even parts, and an ordinary partition read off the Maya diagram of
@@ -23,41 +23,6 @@ class QuotientTriple(NamedTuple):
     charge: int
     q0: StrictPartition
     q1: Partition
-
-
-class BarAbacus(NamedTuple):
-    """Bead positions split over the three runners.
-
-    The left runner holds even positions, the central runner positions
-    congruent to 1 mod 4, the right runner positions congruent to 3 mod 4.
-    """
-
-    left: frozenset
-    central: frozenset
-    right: frozenset
-
-    def beads(self):
-        return self.left | self.central | self.right
-
-    def render(self):
-        """Plain text picture, beads bracketed, one runner per column."""
-        top = max(self.beads(), default=0)
-        periods = top // 4 + 2
-        width = len(str(4 * periods - 1)) + 2
-
-        def cell(pos, runner):
-            s = f"[{pos}]" if pos in runner else str(pos)
-            return s.rjust(width)
-
-        lines = []
-        for r in range(periods):
-            lines.append(
-                cell(4 * r, self.left)
-                + cell(4 * r + 1, self.central)
-                + cell(4 * r + 3, self.right)
-            )
-            lines.append(cell(4 * r + 2, self.left))
-        return "\n".join(lines)
 
 
 def quotient(lam):
@@ -142,19 +107,34 @@ def inverse_quotient(charge, q0, q1):
 
 
 def abacus(lam, core_index):
-    """Bead positions of lam on the three runners.
+    """Bead positions of lam on the three runner bar abacus, as a frozenset.
 
     A bead sits on every part; position 0 also carries a bead exactly when
-    core_index < 0 and lam has -core_index parts.
+    core_index < 0 and lam has -core_index parts.  A position's runner is its
+    residue: even positions are on the left runner, positions 1 mod 4 on the
+    central runner and positions 3 mod 4 on the right runner.
     """
-    beads = set(lam.parts)
+    beads = frozenset(lam.parts)
     if core_index < 0 and len(lam.parts) == -core_index:
-        beads.add(0)
-    return BarAbacus(
-        left=frozenset(b for b in beads if b % 2 == 0),
-        central=frozenset(b for b in beads if b % 4 == 1),
-        right=frozenset(b for b in beads if b % 4 == 3),
-    )
+        beads |= {0}
+    return beads
+
+
+def render_abacus(beads):
+    """Plain text picture of a bead set, beads bracketed, one runner per column."""
+    top = max(beads, default=0)
+    periods = top // 4 + 2
+    width = len(str(4 * periods - 1)) + 2
+
+    def cell(pos):
+        s = f"[{pos}]" if pos in beads else str(pos)
+        return s.rjust(width)
+
+    lines = []
+    for r in range(periods):
+        lines.append(cell(4 * r) + cell(4 * r + 1) + cell(4 * r + 3))
+        lines.append(cell(4 * r + 2))
+    return "\n".join(lines)
 
 
 def delta_sign(lam, core_index):

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .barquot import abacus, delta_sign, quotient, inverse_quotient
+from .barquot import abacus, delta_sign, quotient, inverse_quotient, render_abacus
 from .fock import lemma_co_sides
 from .mixed import expansion_terms, lhs, resolve_case, verify
 from .partitions import CASES, Partition, StrictPartition, add_set, bar_core, case_color, check_color
@@ -176,7 +176,7 @@ def cmd_sign(ns):
 
 
 def cmd_abacus(ns):
-    print(abacus(_bounded_strict(ns.partition), ns.core).render())
+    print(render_abacus(abacus(_bounded_strict(ns.partition), ns.core)))
     return 0
 
 

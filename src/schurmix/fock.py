@@ -124,6 +124,8 @@ def _path_counts(i, core, ell):
     """
     states = {core: 1}
     for _ in range(ell):
+        if not states:
+            break
         nxt = {}
         for parts, count in states.items():
             prev = 0
@@ -154,9 +156,11 @@ def lemma_co_sides(i, core_index, ell):
         raise ValueError(f"power must be >= 0, got {ell}")
     core = bar_core(core_index)
     half, odd = divmod(ell, 2)
-    denominator = factorial(ell)
+    states = _path_counts(i, core.parts, ell)
+    # a large ell may leave no state, and then its factorial is never needed
+    denominator = factorial(ell) if states else 1
     left = {}
-    for parts, count in sorted(_path_counts(i, core.parts, ell).items(), reverse=True):
+    for parts, count in sorted(states.items(), reverse=True):
         scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
         left[StrictPartition._unchecked(parts)] = Sqrt2Power(scale, odd)
     # add_set yields distinct states in decreasing lexicographic order already;

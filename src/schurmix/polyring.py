@@ -492,7 +492,7 @@ def determinant(mat):
         raise ValueError("determinant needs a square matrix")
 
     def pick(mask):
-        row = rows[n - bin(mask).count("1")]
+        row = rows[n - mask.bit_count()]
         for pos, (col, bit) in enumerate(_bits(mask)):
             yield (-1) ** pos, row[col], mask ^ bit
 

@@ -1,6 +1,8 @@
 """Shared test utilities: enumeration, random generators, independent oracles."""
 
 import functools
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -395,3 +397,24 @@ def quotient_by_maya(lam):
     while parts and not parts[-1]:
         parts.pop()
     return QuotientTriple(charge, evens, Partition(parts))
+
+
+@contextmanager
+def line_budget(code, limit):
+    """Raise AssertionError once the frames of code have run more than limit lines."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > limit:
+                raise AssertionError(f"{code.co_name} ran more than {limit} lines")
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)

@@ -8,6 +8,7 @@ from schurmix.barquot import (
     delta_sign,
     inverse_quotient,
     quotient,
+    render_abacus,
 )
 from schurmix.fock import lemma_co_sides
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core
@@ -40,8 +41,23 @@ def assert_bijection_builds_checked(mu):
 
 def bead_pair_sign(lam, core_index):
     """-1 to the number of (central, left) bead pairs, central above, on the abacus."""
-    ab = abacus(lam, core_index)
-    return (-1) ** sum(1 for c in ab.central for left in ab.left if c > left)
+    beads = abacus(lam, core_index)
+    central = [b for b in beads if b % 4 == 1]
+    lefts = [b for b in beads if b % 2 == 0]
+    return (-1) ** sum(1 for c in central for left in lefts if c > left)
+
+
+def runner_columns(text):
+    """{bead: column} read off a rendered abacus, columns 0, 1, 2 from the left."""
+    lines = text.splitlines()
+    width = len(lines[0]) // 3
+    columns = {}
+    for line in lines:
+        for col in range(len(line) // width):
+            cell = line[col * width : (col + 1) * width].strip()
+            if cell.startswith("["):
+                columns[int(cell[1:-1])] = col
+    return columns
 
 
 def test_quotient_worked_example():
@@ -179,22 +195,23 @@ def test_bijection_refuses_unchecked_input():
 
 
 def test_abacus_runner_assignment():
-    ab = abacus(StrictPartition((11, 5, 2)), 3)
-    assert (set(ab.left), set(ab.central), set(ab.right)) == ({2}, {5}, {11})
+    # even positions on the left runner, 1 mod 4 central, 3 mod 4 right
+    for parts, core_index, columns in (
+        ((11, 5, 2), 3, {2: 0, 5: 1, 11: 2}),
+        ((15, 13, 8, 5), -4, {0: 0, 8: 0, 5: 1, 13: 1, 15: 2}),
+    ):
+        text = render_abacus(abacus(StrictPartition(parts), core_index))
+        assert runner_columns(text) == columns, parts
 
 
 def test_abacus_zero_bead_rule():
     # bead on 0 exactly when the core index is negative and matches the length
-    ab = abacus(StrictPartition((15, 13, 8, 5)), -4)
-    assert set(ab.left) == {0, 8}
-    assert set(ab.central) == {5, 13}
-    assert set(ab.right) == {15}
-    ab = abacus(StrictPartition((8, 3, 1)), -2)
-    assert 0 not in ab.beads()
-    ab = abacus(StrictPartition((12, 9, 3)), -3)
-    assert set(ab.left) == {0, 12}
-    ab = abacus(StrictPartition((9, 3)), 2)
-    assert 0 not in ab.beads()
+    assert abacus(StrictPartition((15, 13, 8, 5)), -4) == {0, 5, 8, 13, 15}
+    assert abacus(StrictPartition((8, 3, 1)), -2) == {1, 3, 8}
+    assert abacus(StrictPartition((12, 9, 3)), -3) == {0, 3, 9, 12}
+    assert abacus(StrictPartition((9, 3)), 2) == {3, 9}
+    beads = abacus(StrictPartition(), 0)
+    assert type(beads) is frozenset and not beads
 
 
 def test_delta_sign_fixtures():
@@ -250,7 +267,7 @@ def test_delta_sign_counts_the_zero_bead():
 
 
 def test_render_marks_beads():
-    text = abacus(StrictPartition((11, 9, 6, 2, 1)), 1).render()
+    text = render_abacus(abacus(StrictPartition((11, 9, 6, 2, 1)), 1))
     lines = text.splitlines()
     assert lines[0].split() == ["0", "[1]", "3"]
     assert lines[1].split() == ["[2]"]

@@ -435,19 +435,34 @@ def test_largest_empty_rectangles_verify_quickly(capsys):
         assert out.endswith("terms: 1\nequal: true\n")
 
 
-def test_module_entry_point():
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's schurmix importable."""
     src = str(Path(schurmix.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-m", "schurmix.cli", "core", "3"],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_module_entry_point():
+    done = run_python("-m", "schurmix.cli", "core", "3")
     assert done.returncode == 0
     assert done.stdout == "9,5,1\n"
+
+
+def test_cli_import_stays_light():
+    # every CLI call pays for these at start-up, and none of them is needed
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    done = run_python(
+        "-S", "-c", f"import sys, schurmix.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def readme_examples():

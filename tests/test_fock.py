@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from schurmix import fock
 from schurmix.fock import (
     Sqrt2Power,
     a_count,
@@ -12,6 +13,8 @@ from schurmix.fock import (
     lemma_co_sides,
 )
 from schurmix.partitions import StrictPartition, add_set, bar_core
+
+from helpers import line_budget
 
 SQRT2 = Sqrt2Power(Fraction(1), 1)
 
@@ -145,10 +148,20 @@ def test_lemma_sides_shape():
     assert all(c == SQRT2 for c in left.values())
 
 
-def test_lemma_beyond_window_is_zero():
+def test_lemma_beyond_window_is_zero(monkeypatch):
     left, right = lemma_co_sides(1, 1, 3)
     assert not left and not right
     assert lemma_co_check(1, 1, 3)
+
+    # once no state is left, the walk stops and ell! is never computed: this
+    # call took 1.7 s at ell = 3 * 10**5 when it ran every step
+    def refuse(n):
+        raise AssertionError(f"factorial({n}) computed for empty sides")
+
+    monkeypatch.setattr(fock, "factorial", refuse)
+    for i, core_index in ((1, 1), (0, -3)):
+        with line_budget(fock._path_counts.__code__, 10**4):
+            assert lemma_co_sides(i, core_index, 10**9) == ({}, {})
 
 
 def test_lemma_sign_compatibility():

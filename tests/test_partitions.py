@@ -1,7 +1,5 @@
 import copy
 import pickle
-import sys
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from schurmix import partitions
 from schurmix.barquot import inverse_quotient, quotient
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core, color
 
-from helpers import closure_oracle, partition_error, strict_parts
+from helpers import closure_oracle, line_budget, partition_error, strict_parts
 
 
 def test_color_period():
@@ -114,6 +112,15 @@ def test_partitions_cannot_be_changed():
     for lam in (StrictPartition((5, 1)), Partition((2, 2)), mu):
         for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
             assert type(twin) is type(lam) and twin == lam
+    # so a bad partition built without the check does not survive either
+    bad = StrictPartition._unchecked((3, 3))
+    for duplicate in (copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            duplicate(bad)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(bad, protocol)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            pickle.loads(data)
 
 
 def test_partition_basics():
@@ -254,27 +261,6 @@ def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
     # color 0 node: the bound is that one node, not two per row
     for ell in (2, 3):
         assert list(add_set(StrictPartition((2,)), 0, ell)) == []
-
-
-@contextmanager
-def line_budget(code, limit):
-    """Raise AssertionError once the frames of code have run more than limit lines."""
-    lines = 0
-
-    def local(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-            if lines > limit:
-                raise AssertionError(f"{code.co_name} ran more than {limit} lines")
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        yield
-    finally:
-        sys.settrace(previous)
 
 
 def test_add_set_near_the_top_of_the_window_cannot_hang():

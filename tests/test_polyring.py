@@ -412,6 +412,7 @@ def test_terms_is_a_lazy_read_only_view(monkeypatch):
         del terms[mono]
     assert dict(p.terms) == ordinary
     assert schur_s(Partition((3, 2))).terms == ordinary
+    assert repr(p.terms) == repr(dict(p.terms))
 
 
 @settings(max_examples=200, deadline=None)
