@@ -29,13 +29,12 @@ from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host weight 42 takes about 1.2-1.5 s for verify --json of
-# the 6x7 rectangle (28860 terms; 1.7-2.4 s in the same runs while each side
-# was serialized on its own) and up to 3 s for schur-s of a shape such as
+# On a 2-vCPU Xeon host weight 42 takes about 1.6-2.3 s for verify --json of
+# the 6x7 rectangle (28860 terms) and up to 3 s for schur-s of a shape such as
 # 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is that
-# 6x7, 3.7-4.3 s; the host's speed drifts by tens of percent.  The cost grows
-# with the number of partitions of the weight.  The README examples and the
-# benchmark's calls all have weight 32 or less.
+# 6x7, 3.2-4.4 s at a peak RSS of 66 MB; the host's speed drifts by tens of
+# percent.  The cost grows with the number of partitions of the weight.  The
+# README examples and the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse

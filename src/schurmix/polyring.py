@@ -33,8 +33,9 @@ coefficients and empty pieces once at the end.  A sum a + b is the triples
 (1, 1, a) and (1, 1, b), a product a * b the triple (1, a, b), a scalar
 multiple a * c the triple (1, a, constant c), and each minor of a determinant
 or Pfaffian (read from its strict upper triangle) the signed triples of its
-expansion.  schur.schur_q expands its Pfaffians itself, one cached sub-Q per
-minor, and pfaffian stays as the reference the tests hold it to.
+expansion.  schur.schur_s and schur.schur_q expand their determinants and
+Pfaffians themselves, through process-wide caches of minors, so determinant
+and pfaffian stay as the references the tests hold them to.
 
 Terms are kept in a canonical order: ascending weight, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  One walk,

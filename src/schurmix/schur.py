@@ -8,9 +8,14 @@ such sums of divided powers.  S-polynomials come from the h Jacobi-Trudi
 determinant in the smaller of its two orientations: a shape with fewer columns
 than rows is built from its conjugate, whose determinant has size lam_1 rather
 than len(lam), and mapped back by the involution omega (S_lam' = omega(S_lam),
-omega: tj -> (-1)^(j+1) tj).  Q-polynomials expand the Pfaffian of the
-two-row building blocks along its first row, whose minors are the
-Q-polynomials of smaller strict partitions (Macdonald III.8):
+omega: tj -> (-1)^(j+1) tj).  schur_s expands that determinant itself, along
+its top row, and every minor is one cached h_minor call keyed by its row
+offsets and column set up to a common shift: a minor shared by several shapes
+(the rectangle b^a is the bottom of b^(a+1)) is built once per process.
+polyring.determinant stays as the reference the tests hold it to.
+Q-polynomials expand the Pfaffian of the two-row building blocks along its
+first row, whose minors are the Q-polynomials of smaller strict partitions
+(Macdonald III.8):
 
     Q_lam = sum over j >= 2 of (-1)^j q_(lam_1, lam_j) Q_(lam without lam_1, lam_j),
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 import functools
 
 from .partitions import Partition, StrictPartition
-from .polyring import Polynomial, determinant, divided_powers, omega, sum_of_products
+from .polyring import Polynomial, divided_powers, omega, sum_of_products
 
 
 @functools.cache
@@ -50,17 +55,57 @@ def q_pair(m, n):
 
 
 @functools.cache
+def h_minor(offsets, mask):
+    """Determinant of h_(a + j) over the rows a in offsets, top to bottom, and
+    the columns j set in mask, one column per row.
+
+    Expanded along the top row, each entry's sign the parity of its column's
+    position among the set ones.  Every sub-minor goes through _shared_minor.
+    """
+    if not mask:
+        return Polynomial.one()
+    top, below = offsets[0], offsets[1:]
+
+    def terms():
+        sign, rest = 1, mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            entry = complete_h(top + bit.bit_length() - 1)
+            if not entry.is_zero:
+                yield sign, entry, _shared_minor(below, mask ^ bit)
+            sign = -sign
+
+    return sum_of_products(terms())
+
+
+def _shared_minor(offsets, mask):
+    """h_minor keyed with its lowest column at bit 0.
+
+    Adding s to every offset and taking s from every column leaves each entry
+    h_(a + j) as it was, so two minors that differ by such a shift share one
+    cache entry, whichever shape first asked for it.
+    """
+    shift = (mask & -mask).bit_length() - 1
+    if shift > 0:
+        offsets, mask = tuple(a + shift for a in offsets), mask >> shift
+    return h_minor(offsets, mask)
+
+
+@functools.cache
 def schur_s(lam):
     """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i).
 
     The determinant has size min(len(lam), lam_1): when lam_1 < len(lam) the
-    result is omega of the S-polynomial of the conjugate partition.
+    result is omega of the S-polynomial of the conjugate partition.  Its row
+    offsets are lam_i - i and its columns j = 0 .. n-1, expanded through the
+    shared h_minor cache.
     """
     parts = lam.parts
     n = len(parts)
     if n and parts[0] < n:
         return omega(schur_s(lam.conjugate()))
-    return determinant([[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)])
+    return h_minor(tuple(p - i for i, p in enumerate(parts)), (1 << n) - 1)
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -122,6 +123,24 @@ def test_cached_results_cannot_be_corrupted():
             build().terms = {}
         omega(build())
         assert build().pretty() == expected
+    # schur_s((3, 3, 3)) is itself a cached h minor, and schur_s((4, 3, 3))
+    # reads all three of its 2 x 2 minors from the same cache
+    schur_s.cache_clear()
+    schur.h_minor.cache_clear()
+    square = schur_s(Partition((3, 3, 3)))
+    with pytest.raises(AttributeError):
+        square.terms.clear()
+    with pytest.raises(TypeError):
+        square.terms[()] = 1
+    with pytest.raises(AttributeError):
+        square.terms = {}
+    schur_s.cache_clear()
+    misses = schur.h_minor.cache_info().misses
+    for parts in ((4, 3, 3), (3, 3, 3)):
+        mat = [[complete_h(parts[i] + j - i) for j in range(3)] for i in range(3)]
+        assert schur_s(Partition(parts)) == determinant(mat), parts
+    # only the 3 x 3 minor of (4, 3, 3) is new
+    assert schur.h_minor.cache_info().misses == misses + 1
 
 
 def test_series_pieces_are_homogeneous():
@@ -161,6 +180,32 @@ def test_schur_s_matches_plain_jacobi_trudi():
             lam = Partition(parts)
             assert schur_s(lam) == determinant(mat), parts
             assert schur_s(lam.conjugate()) == omega(schur_s(lam)), parts
+
+
+def test_shared_minors_match_each_shapes_own_determinant():
+    # schur_s builds every shape from one process-wide cache of h minors, so
+    # a minor may first be built for any other shape that contains it.  With
+    # every cache cleared and the shapes in a shuffled order, each result is
+    # held to a plain determinant of its own: h_(lam_i + j - i), or for a
+    # shape with more rows than columns e_(lam'_i + j - i) with e_n =
+    # omega(h_n), since its h matrix (30 x 30 for 1^30) is too slow to expand.
+    for cache in (complete_h, q_fun, q_pair, schur_s, schur_q, schur.h_minor):
+        cache.cache_clear()
+    shapes = {parts for weight in range(13) for parts in partitions_of(weight)}
+    # every rectangle of weight 30 or less, both b^a and a^b
+    shapes |= {(b,) * a for a in range(1, 31) for b in range(1, 30 // a + 1)}
+    order = sorted(shapes)
+    random.Random(2005).shuffle(order)
+    for parts in order:
+        lam = Partition(parts)
+        if parts and parts[0] < len(parts):
+            rows, entry = lam.conjugate().parts, lambda n: omega(complete_h(n))
+        else:
+            rows, entry = parts, complete_h
+        n = len(rows)
+        mat = [[entry(rows[i] + j - i) for j in range(n)] for i in range(n)]
+        assert schur_s(lam) == determinant(mat), parts
+    assert len(order) == 272 + 76
 
 
 def test_q_pair_values():
