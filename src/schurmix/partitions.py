@@ -10,9 +10,10 @@ by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 
 ``Partition(...)`` and ``StrictPartition(...)`` check every part in one pass.
 A partition the library builds itself from checked inputs, such as each result
-of :func:`add_set`, is valid by construction and wrapped by
-``Partition._unchecked`` without a second check.  Either way a partition cannot
-be changed after it is built, so a checked one stays valid.
+of :func:`add_set`, is valid by construction and built without a second check:
+by ``Partition._unchecked``, or on the hot paths (:func:`add_set` and the
+quotient bijection) by the same two C calls inline.  Either way a partition
+cannot be changed after it is built, so a checked one stays valid.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Partition:
         Only for parts the library itself builds from checked inputs; every
         other caller goes through the checking constructor.
         """
-        self = object.__new__(cls)
+        self = _new(cls)
         _set_parts(self, parts)
         return self
 
@@ -124,6 +125,10 @@ class StrictPartition(Partition):
 
 
 # The one way to write the slot, since __setattr__ refuses every assignment.
+# With _new it builds a partition with no check; _unchecked wraps the pair, and
+# the hot paths (add_set, the quotient bijection) call it inline, which saves a
+# Python frame per partition.
+_new = object.__new__
 _set_parts = Partition.parts.__set__
 
 
@@ -180,35 +185,45 @@ def add_set(lam, i, ell):
     gain = [(1 + (b & 1)) * (((b + 1) >> 1) & 1 == i) for b in bases]
     if ell > sum(gain):
         return iter(())
+    if not ell:
+        return iter((lam,))
     return _grow(bases, gain, ell)
 
 
 def _grow(bases, gain, ell):
-    """Row-by-row search behind add_set; bases is lam's parts and a 0.
+    """Row-by-row search behind add_set; bases is lam's parts and a 0, ell > 0.
 
     The stack holds partial results, the rows filled so far and the nodes
-    left.  A row's fills are pushed smallest first, so the largest is popped
-    first and results come out in decreasing lexicographic order.  cap[row] is
-    the most color i nodes the rows from row down can take, so a partial
-    result that needs more is dropped at once.  A finished result is the
-    filled rows, each below the one above it and at least its own base, then
-    lam's untouched rows, so it is strict and is not checked again.
+    left.  cap[row] is the most color i nodes the rows from row down can
+    take, so a row's fill that leaves the rows below more than they can take
+    is never pushed, and neither is one that leaves no node: that one, the
+    largest fill, is yielded at once.  The other fills are pushed smallest
+    first, so the largest is popped first and results come out in decreasing
+    lexicographic order.  A finished result is the filled rows, each below
+    the one above it and at least its own base, then lam's untouched rows, so
+    it is strict and is not checked again.
     """
+    new = _new
+    set_parts = _set_parts
     cap = [*accumulate(reversed(gain), initial=0)][::-1]
     stack = [((), ell)]
     while stack:
         acc, budget = stack.pop()
         row = len(acc)
-        if budget == 0:
-            yield StrictPartition._unchecked(acc + bases[row:-1])
-            continue
-        if budget > cap[row]:
-            continue
         base = bases[row]
         g = gain[row]
         top = base + (g if g < budget else budget)
         if acc and top >= acc[-1]:
             top = acc[-1] - 1
-        # a fresh row left empty yields nothing, so it is not pushed
-        for value in range(base or 1, top + 1):
+        # a fill below base + budget - cap[row + 1] leaves the rows below more
+        # than they can take; below the fresh row cap is 0, so it is never
+        # left empty
+        low = budget - cap[row + 1]
+        low = base + low if low > 0 else base
+        if top - base == budget:
+            mu = new(StrictPartition)
+            set_parts(mu, acc + (top,) + bases[row + 1 : -1])
+            yield mu
+            top -= 1
+        for value in range(low, top + 1):
             stack.append((acc + (value,), budget - value + base))

@@ -307,10 +307,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def homogeneous_degree(self):
-        """Common weighted degree of all terms, or None if mixed or zero."""
-        return next(iter(self._terms)) if len(self._terms) == 1 else None
-
     def eval(self, assignment):
         """Exact value with tj = assignment[j]; every variable must be covered.
 

@@ -286,6 +286,13 @@ def _ref_add_into(acc, mono, coeff):
         acc.pop(mono, None)
 
 
+def homogeneous_degree(p):
+    """Common weighted degree of the terms of p, tj having degree j, or None
+    if the terms differ in degree or p is zero; read off p.terms."""
+    degrees = {sum(var * exp for var, exp in mono) for mono in p.terms}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
 def ref_add(a, b):
     out = dict(a)
     for mono, coeff in b.items():
@@ -397,6 +404,24 @@ def quotient_by_maya(lam):
     while parts and not parts[-1]:
         parts.pop()
     return QuotientTriple(charge, evens, Partition(parts))
+
+
+def inverse_by_maya(charge, q0, q1):
+    """Inverse quotient oracle: builds the Maya entry set, then scans it.
+
+    The entries are e_k = q1_k + charge - k for k = 1..K, with K past both q1
+    and charge, so every negative j below the last entry is present.  Each
+    non-negative entry e gives a part 4e+1, each negative j above the last
+    entry that is not in the set gives a part -4j-1, and each part s of q0
+    gives 2s.
+    """
+    rows = q1.parts
+    last = max(len(rows), charge) + 1
+    entries = {(rows[k - 1] if k <= len(rows) else 0) + charge - k for k in range(1, last + 1)}
+    parts = [2 * s for s in q0.parts]
+    parts += [4 * e + 1 for e in entries if e >= 0]
+    parts += [-4 * j - 1 for j in range(-1, charge - last, -1) if j not in entries]
+    return StrictPartition(sorted(parts, reverse=True))
 
 
 @contextmanager

@@ -13,7 +13,15 @@ from schurmix.barquot import (
 from schurmix.fock import lemma_co_sides
 from schurmix.partitions import Partition, StrictPartition, add_set, bar_core
 
-from helpers import quotient_by_maya, random_strict_parts, random_weak_parts, strict_parts
+from helpers import (
+    inverse_by_maya,
+    partitions_of,
+    quotient_by_maya,
+    random_strict_parts,
+    random_weak_parts,
+    strict_partitions_of,
+    strict_parts,
+)
 
 
 def addition_set_results():
@@ -168,6 +176,22 @@ def test_inverse_quotient_window_edges():
                 lam = inverse_quotient(charge, q0, q1)
                 assert_checks_pass(lam)
                 assert quotient_by_maya(lam) == (charge, q0, q1), (charge, q0, q1)
+
+
+def test_inverse_quotient_matches_maya_set():
+    # Every q0 of weight <= 6 and q1 of weight <= 10 at charges -8..8: q1
+    # empty, charges past the end of q1, and tails of q1 with every shape up
+    # to weight 10 below the non-negative entries.
+    q0s = [StrictPartition(p) for w in range(7) for p in strict_partitions_of(w)]
+    q1s = [Partition(p) for w in range(11) for p in partitions_of(w)]
+    count = 0
+    for charge in range(-8, 9):
+        for q1 in q1s:
+            for q0 in q0s:
+                lam = inverse_quotient(charge, q0, q1)
+                assert lam == inverse_by_maya(charge, q0, q1), (charge, q0, q1)
+                count += 1
+    assert count == 17 * 139 * 14
 
 
 def test_bijection_refuses_unchecked_input():

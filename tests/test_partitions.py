@@ -243,6 +243,19 @@ def test_add_set_matches_closure_on_random_partitions(parts, i, data):
     assert got == sorted(closure_oracle(parts, i, ell), reverse=True)
 
 
+def test_add_set_matches_closure_on_every_core_window():
+    # As ordered lists: dropping a fill before it is pushed and yielding the
+    # fill that uses the last nodes at once must keep every result in
+    # decreasing lexicographic order.
+    for core_index in range(-6, 7):
+        core = bar_core(core_index)
+        for i in (0, 1) if core_index == 0 else (int(core_index > 0),):
+            assert list(add_set(core, i, 0)) == [core]
+            for ell in range(2 * len(core) + 2):
+                got = [mu.parts for mu in add_set(core, i, ell)]
+                assert got == sorted(closure_oracle(core.parts, i, ell), reverse=True)
+
+
 def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
     # at the bound a core still has exactly one result
     small = bar_core(-4)
