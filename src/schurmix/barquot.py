@@ -15,8 +15,7 @@ with no constructor running Python code.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import add, index, neg
+from operator import add, index
 from typing import NamedTuple
 
 from .partitions import Partition, StrictPartition, _new, _set_parts
@@ -88,32 +87,29 @@ def inverse_quotient(charge, q0, q1):
     non-negative entries e give parts 4e+1, missing negative entries j give
     parts -4j-1, and q0 doubles back into the even parts.
 
-    The entries strictly decrease, so one bisection counts the non-negative
-    ones among q1's; past q1 the entries are charge - k, non-negative down to
-    k = charge.  With `ones` non-negative entries in all, X = ones - charge
-    negatives are missing.  The conjugate of q1's tail (its parts after the
-    first `ones`) counts the entries present above each missing one: the v-th
-    lowest of them gives the part 4s_v+3 with s_v = #{tail parts >= v} + X - v,
-    one bisection per v.
+    One pass over q1 reads the entries from the top; the negatives skipped
+    between two entries are the missing ones.  Past q1 the entries are
+    charge - k, all present, so the pass ends with the non-negative ones among
+    them and the negatives skipped above the first of them.
     """
     charge = index(charge)
     if not isinstance(q0, StrictPartition):
         raise TypeError(f"inverse_quotient: q0 must be a StrictPartition, got {q0!r}")
     if not isinstance(q1, Partition):
         raise TypeError(f"inverse_quotient: q1 must be a Partition, got {q1!r}")
-    rows = q1.parts
-    n = len(rows)
-    entries = [*map(add, rows, range(charge - 1, charge - n - 1, -1))]
-    ones = bisect_right(entries, 0, key=neg)
     parts = [s << 1 for s in q0.parts]
-    parts += [4 * e + 1 for e in entries[:ones]]
-    if charge > n:
-        # the entries past q1 from charge - n - 1 down to 0
-        parts += range(4 * (charge - n) - 3, 0, -4)
-        ones = charge
-    missing = ones - charge
-    for v in range(1, missing + 1):
-        parts.append(4 * (bisect_right(rows, -v, ones, key=neg) - ones + missing - v) + 3)
+    gap = 3  # part -4j-1 of the highest negative j not yet passed
+    n = len(q1.parts)
+    for e in map(add, q1.parts, range(charge - 1, charge - n - 1, -1)):
+        if e >= 0:
+            parts.append(4 * e + 1)
+        else:
+            parts += range(gap, -4 * e - 1, 4)
+            gap = -4 * e + 3
+    # the first entry past q1; it and every later one are present
+    top = charge - n - 1
+    parts += range(4 * top + 1, 0, -4)
+    parts += range(gap, -4 * top - 1, 4)
     parts.sort(reverse=True)
     mu = _new(StrictPartition)
     _set_parts(mu, tuple(parts))

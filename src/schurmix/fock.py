@@ -34,7 +34,7 @@ from math import factorial
 from operator import index
 from typing import NamedTuple
 
-from .partitions import StrictPartition, add_set, bar_core, check_color
+from .partitions import StrictPartition, _new, _set_parts, add_set, bar_core, check_color
 from .polyring import as_fraction
 
 
@@ -162,7 +162,9 @@ def lemma_co_sides(i, core_index, ell):
     left = {}
     for parts, count in sorted(states.items(), reverse=True):
         scale = Fraction(count << half, denominator << (len(parts) - len(core.parts)))
-        left[StrictPartition._unchecked(parts)] = Sqrt2Power(scale, odd)
+        lam = _new(StrictPartition)
+        _set_parts(lam, parts)
+        left[lam] = Sqrt2Power(scale, odd)
     # add_set yields distinct states in decreasing lexicographic order already;
     # the few distinct powers are each built once.
     eps = core_index % 2

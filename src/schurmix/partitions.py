@@ -10,9 +10,8 @@ by nodes of color 1, case "zero" cores with index <= 0 by nodes of color 0.
 
 ``Partition(...)`` and ``StrictPartition(...)`` check every part in one pass.
 A partition the library builds itself from checked inputs, such as each result
-of :func:`add_set`, is valid by construction and built without a second check:
-by ``Partition._unchecked``, or on the hot paths (:func:`add_set` and the
-quotient bijection) by the same two C calls inline.  Either way a partition
+of :func:`add_set`, is valid by construction and built without a second check,
+by ``_new`` and ``_set_parts`` with no Python frame.  Either way a partition
 cannot be changed after it is built, so a checked one stays valid.
 """
 
@@ -54,17 +53,6 @@ class Partition:
         if tie and self._strict:
             raise ValueError(f"parts must be strictly decreasing, got {parts}")
         _set_parts(self, parts)
-
-    @classmethod
-    def _unchecked(cls, parts):
-        """Wrap a parts tuple that is valid by construction, checking nothing.
-
-        Only for parts the library itself builds from checked inputs; every
-        other caller goes through the checking constructor.
-        """
-        self = _new(cls)
-        _set_parts(self, parts)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} cannot be changed after it is built")
@@ -125,9 +113,9 @@ class StrictPartition(Partition):
 
 
 # The one way to write the slot, since __setattr__ refuses every assignment.
-# With _new it builds a partition with no check; _unchecked wraps the pair, and
-# the hot paths (add_set, the quotient bijection) call it inline, which saves a
-# Python frame per partition.
+# With _new it builds a partition with no check, only for parts the library
+# itself builds from checked inputs; every other caller goes through the
+# checking constructor.
 _new = object.__new__
 _set_parts = Partition.parts.__set__
 
