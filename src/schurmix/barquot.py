@@ -134,7 +134,8 @@ def render_abacus(beads):
     """Plain text picture of a bead set, beads bracketed, one runner per column."""
     top = max(beads, default=0)
     periods = top // 4 + 2
-    width = len(str(4 * periods - 1)) + 2
+    # the brackets and one space, so that no two cells touch
+    width = len(str(4 * periods - 1)) + 3
 
     def cell(pos):
         s = f"[{pos}]" if pos in beads else str(pos)

@@ -6,7 +6,8 @@ every exp > 0; () is the monomial 1.  Polynomial(...), Polynomial.constant and
 Polynomial.variable take such monomials with int or Fraction coefficients and
 check them; Polynomial.terms, eval, sorted_terms, pretty and to_json_obj give
 them back with ordinary-basis Fractions.  Polynomial.terms is a read-only
-{monomial: Fraction} view that converts one coefficient per lookup.
+{monomial: Fraction} snapshot in the canonical order below, read from the same
+walk as the printer and the JSON form.
 
 Inside, a monomial is one int, its packed exponent vector: the key of
 prod tj^mj is sum mj << (SLOT_BITS * (j - 1)), one byte per variable with t1 in
@@ -40,8 +41,8 @@ and pfaffian stay as the references the tests hold them to.
 Terms are kept in a canonical order: ascending weight, ties broken by the
 exponent vector read from t1 upward with the larger vector first.  One walk,
 Polynomial._canonical, sorts each weight-w piece by the w bytes of its keys
-and yields every stored coefficient with those exponent bytes; sorted_terms,
-the pretty printer and the JSON form
+and yields every stored coefficient with those exponent bytes; sorted_terms
+(and through it terms and eval), the pretty printer and the JSON form
 
     {"terms": [{"coeff": "<num>/<den>", "mono": {"<var>": "<exp>", ...}}, ...]}
 
@@ -52,9 +53,9 @@ in the numerator, and takes the mono from the nonzero exponent bytes.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, gcd, perm
+from types import MappingProxyType
 
 # Bits per exponent slot: one byte, so to_bytes reads the exponent vector.
 SLOT_BITS = 8
@@ -105,11 +106,6 @@ def _key(mono):
 def _pack(mono):
     """(weight, key) of a canonical monomial, checked against the slot guard first."""
     return _check_weight(sum(var * exp for var, exp in mono)), _key(mono)
-
-
-def _unpack(key):
-    """Canonical monomial of a packed key."""
-    return _monomial_of(key.to_bytes((key.bit_length() + 7) // 8, "little"))
 
 
 def _monomial_of(slots):
@@ -168,51 +164,6 @@ def sum_of_products(terms):
     return Polynomial._raw(acc)
 
 
-class _OrdinaryTerms(Mapping):
-    """Read-only {monomial: Fraction} view of weight-scaled packed terms.
-
-    len and membership convert no coefficient, iteration unpacks keys only,
-    and a lookup converts the one coefficient it returns.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms):
-        self._terms = terms
-
-    def _stored(self, mono):
-        """(weight, stored coefficient) of mono; KeyError when it has no term."""
-        try:
-            w, key = _pack(mono)
-            coeff = self._terms[w][key]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(mono) from None
-        if _unpack(key) != mono:
-            raise KeyError(mono)
-        return w, coeff
-
-    def __getitem__(self, mono):
-        return _ordinary(*self._stored(mono))
-
-    def __contains__(self, mono):
-        try:
-            self._stored(mono)
-        except KeyError:
-            return False
-        return True
-
-    def __iter__(self):
-        for piece in self._terms.values():
-            for key in piece:
-                yield _unpack(key)
-
-    def __len__(self):
-        return sum(map(len, self._terms.values()))
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 class Polynomial:
     """Finite rational-weighted sum of monomials.  Immutable: terms is read-only."""
 
@@ -230,8 +181,8 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Read-only {monomial: Fraction} map of the ordinary-basis coefficients."""
-        return _OrdinaryTerms(self._terms)
+        """Read-only {monomial: ordinary Fraction} snapshot, in the canonical order."""
+        return MappingProxyType(dict(self.sorted_terms()))
 
     @classmethod
     def zero(cls):
@@ -314,14 +265,12 @@ class Polynomial:
         """
         values = {var: as_fraction(value) for var, value in assignment.items()}
         total = Fraction(0)
-        for w, piece in self._terms.items():
-            for key, coeff in piece.items():
-                value = _ordinary(w, coeff)
-                for var, exp in _unpack(key):
-                    if var not in values:
-                        raise ValueError(f"no value given for t{var}")
-                    value *= values[var] ** exp
-                total += value
+        for mono, value in self.sorted_terms():
+            for var, exp in mono:
+                if var not in values:
+                    raise ValueError(f"no value given for t{var}")
+                value *= values[var] ** exp
+            total += value
         return total
 
     def _canonical(self):
@@ -482,7 +431,12 @@ def _bits(mask):
 
 
 def determinant(mat):
-    """Exact determinant by expansion along the top free row, memoised on column sets."""
+    """Exact determinant by expansion along the top free row, memoised on column sets.
+
+    On an upper Hessenberg matrix, such as the h matrix of 1^n, that memoises
+    about 2^n column sets (16 s for 1^20, 31.6 s for 1^21 on a 2-vCPU Xeon);
+    schur.schur_s never meets this, as it builds a tall shape from its conjugate.
+    """
     rows = [[as_polynomial(e) for e in row] for row in mat]
     n = len(rows)
     if any(len(row) != n for row in rows):

@@ -295,6 +295,8 @@ def test_render_marks_beads():
     lines = text.splitlines()
     assert lines[0].split() == ["0", "[1]", "3"]
     assert lines[1].split() == ["[2]"]
+    # cells never touch, so every row splits on whitespace
+    assert lines[4].split() == ["8", "[9]", "[11]"]
     for bead in ("[6]", "[9]", "[11]"):
         assert bead in text
     assert "[3]" not in text and "[0]" not in text

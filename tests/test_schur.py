@@ -68,7 +68,7 @@ def test_divided_power_coefficients_are_int(monkeypatch):
     # of cycle type rho is the character value chi^lam(rho) (Macdonald I.7);
     # Q_lam has int coefficients there too (Macdonald III.8).  The stored
     # coefficients, w! times the ordinary ones, are ints as well: the terms
-    # view hands each one to polyring._ordinary, which records it here.
+    # snapshot hands each one to polyring._ordinary, which records it here.
     stored = []
     real = polyring._ordinary
 
