@@ -29,12 +29,13 @@ from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host weight 42 takes about 1.6-2.3 s for verify --json of
-# the 6x7 rectangle (28860 terms) and up to 3 s for schur-s of a shape such as
-# 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is that
-# 6x7, 3.2-4.4 s at a peak RSS of 66 MB; the host's speed drifts by tens of
-# percent.  The cost grows with the number of partitions of the weight.  The
-# README examples and the benchmark's calls all have weight 32 or less.
+# On a 2-vCPU Xeon host (Python 3.11.7, cold processes) weight 42 takes about
+# 1.5-1.7 s for verify --json of the 6x7 rectangle (28860 terms) and 1.6-2.2 s
+# for schur-s of a shape such as 8,7,7,6,5,4,3,2, and verify-all --max-m 6,
+# whose largest rectangle is that 6x7, 2.8-3.6 s at a peak RSS of 66 MB; the
+# host's speed drifts by tens of percent.  The cost grows with the number of
+# partitions of the weight.  The README examples and the benchmark's calls all
+# have weight 32 or less.
 MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse
@@ -69,18 +70,18 @@ def _partition(text, strict=False):
 
 
 def _resolve_case(case, core, m):
-    """Color and m from either --core (signed, the case optional) or --case and --m."""
+    """Case name and m from either --core (signed, the case optional) or --case and --m."""
     if core is not None and m is not None:
         raise ValueError("give either --core or --m, not both")
     if core is not None:
-        i = int(core >= 0) if case is None else case_color(case)
-        check_color(i, core)
-        return i, abs(core)
+        case = CASES[core >= 0] if case is None else case
+        check_color(case_color(case), core)
+        return case, abs(core)
     if m is None:
         raise ValueError("missing --core or --m")
     if case is None:
         raise ValueError("missing --case")
-    return case_color(case), m
+    return case, m
 
 
 def _check_weight(weight, what):
@@ -155,10 +156,10 @@ def cmd_inverse(ns):
 
 def _check_addition_set(ns):
     """Color of an enumerate or fock-check call, refusing an oversized core or --ell."""
-    i, _ = _resolve_case(ns.case, ns.core, None)
+    case, _ = _resolve_case(ns.case, ns.core, None)
     _check_limit(f"core index {ns.core}", abs(ns.core), MAX_ENUMERATE_CORE)
     _check_limit(f"--ell {ns.ell}", ns.ell, MAX_ENUMERATE_ELL)
-    return i
+    return case_color(case)
 
 
 def cmd_enumerate(ns):
@@ -197,29 +198,29 @@ def cmd_schur_q(ns):
 
 
 def cmd_expand(ns):
-    i, m = _resolve_case(ns.case, ns.core, ns.m)
-    _check_rect(CASES[i], m, ns.n)
+    case, m = _resolve_case(ns.case, ns.core, ns.m)
+    _check_rect(case, m, ns.n)
     if ns.json:
-        total, terms = lhs(CASES[i], m, ns.n)
+        total, terms = lhs(case, m, ns.n)
         # Written piece by piece, one term's value at a time, and byte for byte
         # the json.dumps of the whole object.
-        head = json.dumps({"case": CASES[i], "m": m, "n": ns.n})
+        head = json.dumps({"case": case, "m": m, "n": ns.n})
         print(head[:-1] + ', "terms": [', end="")
         for k, t in enumerate(terms):
             record = {**_term_record(t), "value": t.value.to_json_obj()}
             print(", " if k else "", json.dumps(record), sep="", end="")
         print('], "total": ' + json.dumps(total.to_json_obj()) + "}")
     else:
-        for t in expansion_terms(CASES[i], m, ns.n):
+        for t in expansion_terms(case, m, ns.n):
             mark = "+" if t.sign > 0 else "-"
             print(f"{mark} mu={t.mu.to_text()} q0={t.q0.to_text()} q1={t.q1.to_text()}")
     return 0
 
 
 def cmd_verify(ns):
-    i, m = _resolve_case(ns.case, ns.core, ns.m)
-    rectangle = _check_rect(CASES[i], m, ns.n)
-    report = verify(CASES[i], m, ns.n)
+    case, m = _resolve_case(ns.case, ns.core, ns.m)
+    rectangle = _check_rect(case, m, ns.n)
+    report = verify(case, m, ns.n)
     if ns.json:
         # Equal sides are one polynomial, encoded once for both slots; the
         # line is byte for byte the json.dumps of the whole object.
@@ -236,7 +237,7 @@ def cmd_verify(ns):
         )
         print(f'{head[:-1]}, "lhs": {left}, "rhs": {right}, {tail[1:]}')
     else:
-        print(f"case: {CASES[i]}")
+        print(f"case: {case}")
         print(f"m: {m}")
         print(f"n: {ns.n}")
         print(f"core: {report.core_index}")
@@ -254,14 +255,14 @@ def cmd_verify_all(ns):
     _check_rect("zero", ns.max_m, ns.max_m, "the sweep's largest rectangle")
     failures = 0
     checks = 0
-    for i in (1, 0):
+    for case in ("one", "zero"):
         for m in range(ns.max_m + 1):
             for n in range(2 * m + 4):
-                report = verify(CASES[i], m, n)
+                report = verify(case, m, n)
                 checks += 1
                 if not report.equal:
                     failures += 1
-                print(f"{CASES[i]} m={m} n={n} equal={'true' if report.equal else 'false'}")
+                print(f"{case} m={m} n={n} equal={'true' if report.equal else 'false'}")
     if failures:
         print(f"all: {checks} checks, {failures} failed")
         return 1
@@ -290,73 +291,48 @@ def build_parser():
     parser = _Parser(prog="schurmix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("core", help="print the core partition with a given index")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    # Each flag group that several commands share is declared once, as a
+    # parent parser whose arguments keep their place in each command.
+    partition = _Parser(add_help=False)
+    partition.add_argument("partition")
+    partition_core = _Parser(add_help=False, parents=[partition])
+    partition_core.add_argument("--core", type=int, required=True)
+    addition_set = _Parser(add_help=False)
+    addition_set.add_argument("--case", choices=CASES)
+    addition_set.add_argument("--core", type=int, required=True)
+    addition_set.add_argument("--ell", type=int, required=True)
+    rectangle = _Parser(add_help=False)
+    rectangle.add_argument("--case", choices=CASES)
+    rectangle.add_argument("--m", type=int)
+    rectangle.add_argument("--core", type=int)
+    rectangle.add_argument("--n", type=int, required=True)
+    rectangle.add_argument("--json", action="store_true")
+
+    p = command("core", cmd_core, "print the core partition with a given index")
     p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("quotient", help="charge and quotient pair of a strict partition")
-    p.add_argument("partition")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("inverse", help="rebuild a strict partition from quotient data")
+    command("quotient", cmd_quotient, "charge and quotient pair of a strict partition", partition)
+    p = command("inverse", cmd_inverse, "rebuild a strict partition from quotient data")
     p.add_argument("--charge", type=int, required=True)
     p.add_argument("--q0", default="")
     p.add_argument("--q1", default="")
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("enumerate", help="node addition set of a core")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--core", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("sign", help="bead pair sign of a strict partition")
-    p.add_argument("partition")
-    p.add_argument("--core", type=int, required=True)
-    p.set_defaults(func=cmd_sign)
-
-    p = sub.add_parser("abacus", help="render the three runner abacus")
-    p.add_argument("partition")
-    p.add_argument("--core", type=int, required=True)
-    p.set_defaults(func=cmd_abacus)
-
-    p = sub.add_parser("schur-s", help="S-polynomial of a partition")
-    p.add_argument("partition")
+    command("enumerate", cmd_enumerate, "node addition set of a core", addition_set)
+    command("sign", cmd_sign, "bead pair sign of a strict partition", partition_core)
+    command("abacus", cmd_abacus, "render the three runner abacus", partition_core)
+    p = command("schur-s", cmd_schur_s, "S-polynomial of a partition", partition)
     p.add_argument("--t2", action="store_true", help="substitute tj -> t2j")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_schur_s)
-
-    p = sub.add_parser("schur-q", help="Q-polynomial of a strict partition")
-    p.add_argument("partition")
+    p = command("schur-q", cmd_schur_q, "Q-polynomial of a strict partition", partition)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_schur_q)
-
-    p = sub.add_parser("expand", help="list the signed Q*S terms of an expansion")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--core", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("verify", help="check one expansion identity")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--core", type=int)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("verify-all", help="sweep both cases up to a core bound")
+    command("expand", cmd_expand, "list the signed Q*S terms of an expansion", rectangle)
+    command("verify", cmd_verify, "check one expansion identity", rectangle)
+    p = command("verify-all", cmd_verify_all, "sweep both cases up to a core bound")
     p.add_argument("--max-m", type=int, required=True)
-    p.set_defaults(func=cmd_verify_all)
-
-    p = sub.add_parser("fock-check", help="compare the divided power expansion")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--core", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.set_defaults(func=cmd_fock_check)
-
+    command("fock-check", cmd_fock_check, "compare the divided power expansion", addition_set)
     return parser
 
 

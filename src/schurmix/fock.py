@@ -152,6 +152,7 @@ def lemma_co_sides(i, core_index, ell):
     again.
     """
     check_color(i, core_index)
+    ell = index(ell)
     if ell < 0:
         raise ValueError(f"power must be >= 0, got {ell}")
     core = bar_core(core_index)

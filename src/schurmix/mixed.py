@@ -11,6 +11,7 @@ doubled variables.  Both sides vanish when the addition set is empty.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .barquot import delta_sign, quotient
@@ -22,10 +23,12 @@ _ONE = Polynomial.one()
 
 
 def resolve_case(case, m, n):
-    """(color, core index, (rows, cols)) of a named case, refusing a negative
-    m or n.  With top = 2m + 1 - color, color 1 has core index m and the
-    (top - n) x n rectangle, color 0 core index -m and n x (top - n)."""
+    """(color, core index, (rows, cols)) of a named case, refusing an m or n
+    that is negative (ValueError) or not an int (TypeError).  With
+    top = 2m + 1 - color, color 1 has core index m and the (top - n) x n
+    rectangle, color 0 core index -m and n x (top - n)."""
     i = case_color(case)
+    m, n = index(m), index(n)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if n < 0:

@@ -18,6 +18,7 @@ cannot be changed after it is built, so a checked one stays valid.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 
 # A case name's index is its color.
 CASES = ("zero", "one")
@@ -158,12 +159,13 @@ def add_set(lam, i, ell):
     of mu outside lam sits in a column of color i.  New rows below lam are
     allowed.  Results are yielded one at a time, each once, in decreasing
     lexicographic order of parts; the arguments are checked at the call, and
-    lam must be a StrictPartition (TypeError otherwise), so no result is
-    checked again.
+    lam must be a StrictPartition and ell an int (TypeError otherwise), so no
+    result is checked again.
     """
     if not isinstance(lam, StrictPartition):
         raise TypeError(f"add_set: lam must be a StrictPartition, got {lam!r}")
     check_color(i)
+    ell = index(ell)
     if ell < 0:
         raise ValueError(f"node count must be non-negative, got {ell}")
     # Colors come in pairs, so a row ending at column b takes two nodes when b

@@ -572,3 +572,61 @@ def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "expand", "--case", "zero", "--m", "2", "--n", "3", "--json")
     second = run_cli(capsys, "expand", "--case", "zero", "--m", "2", "--n", "3", "--json")
     assert first == second
+
+
+def _declared(parser):
+    """(option strings or dest, required, default, choices, type) of each
+    argument but --help, in declaration order; the help text is not pinned,
+    since its layout differs across Python versions."""
+    return [
+        (
+            "/".join(a.option_strings) or a.dest,
+            a.required,
+            a.default,
+            None if a.choices is None else list(a.choices),
+            a.type,
+        )
+        for a in parser._actions
+        if a.dest != "help"
+    ]
+
+
+def test_declared_interface():
+    partition = ("partition", True, None, None, None)
+    case = ("--case", False, None, ["zero", "one"], None)
+    core = ("--core", True, None, None, int)
+    json_flag = ("--json", False, False, None, None)
+    addition_set = [case, core, ("--ell", True, None, None, int)]
+    rectangle = [
+        case,
+        ("--m", False, None, None, int),
+        ("--core", False, None, None, int),
+        ("--n", True, None, None, int),
+        json_flag,
+    ]
+    expected = {
+        "core": [("m", True, None, None, int)],
+        "quotient": [partition],
+        "inverse": [
+            ("--charge", True, None, None, int),
+            ("--q0", False, "", None, None),
+            ("--q1", False, "", None, None),
+        ],
+        "enumerate": addition_set,
+        "sign": [partition, core],
+        "abacus": [partition, core],
+        "schur-s": [partition, ("--t2", False, False, None, None), json_flag],
+        "schur-q": [partition, json_flag],
+        "expand": rectangle,
+        "verify": rectangle,
+        "verify-all": [("--max-m", True, None, None, int)],
+        "fock-check": addition_set,
+    }
+    parser = cli.build_parser()
+    assert parser.prog == "schurmix"
+    assert _declared(parser) == [("command", True, None, list(expected), None)]
+    commands = parser._actions[-1].choices
+    for name, arguments in expected.items():
+        assert commands[name].prog == f"schurmix {name}"
+        assert _declared(commands[name]) == arguments, name
+        assert commands[name].get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_"))

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from schurmix import mixed
+from schurmix.fock import lemma_co_sides
 from schurmix.mixed import expansion_terms, lhs, resolve_case, rhs, verify
 from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial, shift2
@@ -184,3 +187,19 @@ def test_invalid_arguments():
         lhs("one", 0, -2)
     with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
         rhs("zero", 3, -1)
+
+
+def test_counts_must_be_ints():
+    # results are built without a check, so a float or Fraction count is
+    # refused at the call, before any result is built
+    for bad in (1.0, Fraction(1), "1"):
+        with pytest.raises(TypeError):
+            add_set(bar_core(1), 1, bad)
+        with pytest.raises(TypeError):
+            lemma_co_sides(1, 1, bad)
+        with pytest.raises(TypeError):
+            resolve_case("one", bad, 1)
+        with pytest.raises(TypeError):
+            resolve_case("one", 1, bad)
+    with pytest.raises(TypeError):
+        verify("zero", 2, 2.0)
