@@ -124,6 +124,7 @@ def abacus(lam, core_index):
     residue: even positions are on the left runner, positions 1 mod 4 on the
     central runner and positions 3 mod 4 on the right runner.
     """
+    core_index = index(core_index)
     beads = frozenset(lam.parts)
     if core_index < 0 and len(lam.parts) == -core_index:
         beads |= {0}
@@ -158,6 +159,7 @@ def delta_sign(lam, core_index):
     if not isinstance(lam, StrictPartition):
         raise TypeError(f"delta_sign: lam must be a StrictPartition, got {lam!r}")
     parts = lam.parts
+    core_index = index(core_index)
     left = int(core_index < 0 and len(parts) == -core_index)
     pairs = 0
     for p in reversed(parts):

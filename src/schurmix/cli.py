@@ -30,12 +30,12 @@ from .schur import schur_q, schur_s
 
 
 # On a 2-vCPU Xeon host (Python 3.11.7, cold processes) weight 42 takes about
-# 1.5-1.7 s for verify --json of the 6x7 rectangle (28860 terms) and 1.6-2.2 s
-# for schur-s of a shape such as 8,7,7,6,5,4,3,2, and verify-all --max-m 6,
-# whose largest rectangle is that 6x7, 2.8-3.6 s at a peak RSS of 66 MB; the
-# host's speed drifts by tens of percent.  The cost grows with the number of
-# partitions of the weight.  The README examples and the benchmark's calls all
-# have weight 32 or less.
+# 1.0-2.4 s for verify --json of the 6x7 rectangle (28860 terms; writing its
+# JSON takes 0.10-0.16 s of that) and 1.0-2.3 s for schur-s of a shape such
+# as 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is
+# that 6x7, 2.8-3.6 s at a peak RSS of 66 MB; the host's speed drifts by tens
+# of percent.  The cost grows with the number of partitions of the weight.
+# The README examples and the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
 
 # core prints the |m| parts of the core with index m on one line, and inverse
@@ -116,7 +116,7 @@ def _term_record(t):
 
 def _print_poly(poly, as_json):
     if as_json:
-        print(json.dumps(poly.to_json_obj()))
+        print(poly.to_json_text())
     else:
         print(poly.pretty())
 
@@ -203,13 +203,14 @@ def cmd_expand(ns):
     if ns.json:
         total, terms = lhs(case, m, ns.n)
         # Written piece by piece, one term's value at a time, and byte for byte
-        # the json.dumps of the whole object.
+        # the json.dumps of the whole object; each polynomial is spliced in as
+        # its to_json_text.
         head = json.dumps({"case": case, "m": m, "n": ns.n})
         print(head[:-1] + ', "terms": [', end="")
         for k, t in enumerate(terms):
-            record = {**_term_record(t), "value": t.value.to_json_obj()}
-            print(", " if k else "", json.dumps(record), sep="", end="")
-        print('], "total": ' + json.dumps(total.to_json_obj()) + "}")
+            record = json.dumps(_term_record(t))[:-1]
+            print(", " if k else "", f'{record}, "value": {t.value.to_json_text()}}}', sep="", end="")
+        print('], "total": ' + total.to_json_text() + "}")
     else:
         for t in expansion_terms(case, m, ns.n):
             mark = "+" if t.sign > 0 else "-"
@@ -224,18 +225,14 @@ def cmd_verify(ns):
     if ns.json:
         # Equal sides are one polynomial, encoded once for both slots; the
         # line is byte for byte the json.dumps of the whole object.
-        left = json.dumps(report.lhs.to_json_obj())
-        right = left if report.equal else json.dumps(report.rhs.to_json_obj())
+        left = report.lhs.to_json_text()
+        right = left if report.equal else report.rhs.to_json_text()
+        difference = report.difference.to_json_text()
         head = json.dumps(
             {"case": report.case, "core_index": report.core_index, "n": report.n, "equal": report.equal}
         )
-        tail = json.dumps(
-            {
-                "difference": report.difference.to_json_obj(),
-                "terms": [_term_record(t) for t in report.terms],
-            }
-        )
-        print(f'{head[:-1]}, "lhs": {left}, "rhs": {right}, {tail[1:]}')
+        terms = json.dumps([_term_record(t) for t in report.terms])
+        print(f'{head[:-1]}, "lhs": {left}, "rhs": {right}, "difference": {difference}, "terms": {terms}}}')
     else:
         print(f"case: {case}")
         print(f"m: {m}")

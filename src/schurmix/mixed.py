@@ -97,13 +97,16 @@ def rhs(case, m, n):
 
 
 def verify(case, m, n):
-    """Compare both sides exactly and return the full report."""
+    """Compare both sides exactly and return the full report, whose n is the
+    checked int."""
+    core_index = resolve_case(case, m, n)[1]
+    n = index(n)
     left, terms = lhs(case, m, n)
     right = rhs(case, m, n)
     equal = left == right  # storage is canonical: equal exactly when left - right is 0
     return VerificationReport(
         case=case,
-        core_index=resolve_case(case, m, n)[1],
+        core_index=core_index,
         n=n,
         lhs=left,
         rhs=right,

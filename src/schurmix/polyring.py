@@ -4,8 +4,8 @@ Variable tj carries weight j, so t1^2*t3 has weight (weighted degree) 5.  At
 the boundary a monomial is a tuple of (var, exp) pairs, ascending in var, with
 every exp > 0; () is the monomial 1.  Polynomial(...), Polynomial.constant and
 Polynomial.variable take such monomials with int or Fraction coefficients and
-check them; Polynomial.terms, eval, sorted_terms, pretty and to_json_obj give
-them back with ordinary-basis Fractions.  Polynomial.terms is a read-only
+check them; Polynomial.terms, eval, sorted_terms, pretty, to_json_text and
+to_json_obj give them back with ordinary-basis Fractions.  Polynomial.terms is a read-only
 {monomial: Fraction} snapshot in the canonical order below, read from the same
 walk as the printer and the JSON form.
 
@@ -46,13 +46,17 @@ and yields every stored coefficient with those exponent bytes; sorted_terms
 
     {"terms": [{"coeff": "<num>/<den>", "mono": {"<var>": "<exp>", ...}}, ...]}
 
-all read it.  to_json_obj builds no Fraction for an int coefficient c: with
+all read it.  to_json_text is the one writer of that form: it writes each term
+as text, with no dict per term and no json.dumps, byte for byte what json.dumps
+gives for the object.  It builds no Fraction for an int coefficient c: with
 g = gcd(c, w!) it writes c//g and w!//g, Fraction's lowest terms with the sign
-in the numerator, and takes the mono from the nonzero exponent bytes.
+in the numerator, and joins the mono from the nonzero exponent bytes.
+to_json_obj is json.loads of that text.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import comb, factorial, gcd, perm
 from types import MappingProxyType
@@ -62,8 +66,10 @@ SLOT_BITS = 8
 WEIGHT_LIMIT = 1 << SLOT_BITS
 # Bit 0 of the slot of each even variable t2, t4, ..., t(WEIGHT_LIMIT).
 _EVEN_LOW_BITS = int.from_bytes(b"\0\1" * (WEIGHT_LIMIT // 2), "little")
-# str(k) for every variable index and exponent a term below WEIGHT_LIMIT can hold.
-_DIGITS = tuple(map(str, range(WEIGHT_LIMIT)))
+# The JSON key '"j": ' of variable tj and the JSON string value '"e"' of
+# exponent e, for every index and exponent a term below WEIGHT_LIMIT can hold.
+_JSON_KEYS = tuple(f'"{j}": ' for j in range(WEIGHT_LIMIT))
+_JSON_VALUES = tuple(f'"{e}"' for e in range(WEIGHT_LIMIT))
 
 
 def _monomial(spec):
@@ -314,21 +320,27 @@ class Polynomial:
     def __repr__(self):
         return f"<Polynomial {self.pretty()}>"
 
-    def to_json_obj(self):
+    def to_json_text(self):
+        """The JSON form as text, in one pass over the canonical walk."""
         out = []
         for w, piece in self._canonical():
             fact = factorial(w)
             for exps, c in piece:
                 if type(c) is int:
                     g = gcd(c, fact)
-                    coeff = f"{c // g}/{fact // g}"
+                    num, den = c // g, fact // g
                 else:
                     c = Fraction(c, fact)
-                    coeff = f"{c.numerator}/{c.denominator}"
+                    num, den = c.numerator, c.denominator
                 # the slots above the largest variable are zero: cut them before the scan
                 slots = enumerate(exps.rstrip(b"\0"), 1)
-                out.append({"coeff": coeff, "mono": {_DIGITS[v]: _DIGITS[e] for v, e in slots if e}})
-        return {"terms": out}
+                mono = ", ".join([_JSON_KEYS[v] + _JSON_VALUES[e] for v, e in slots if e])
+                out.append(f'{{"coeff": "{num}/{den}", "mono": {{{mono}}}}}')
+        return '{"terms": [' + ", ".join(out) + "]}"
+
+    def to_json_obj(self):
+        """The JSON form as an object: the parse of to_json_text."""
+        return json.loads(self.to_json_text())
 
 
 _ONE = Polynomial._raw({0: {0: 1}})

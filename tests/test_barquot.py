@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,17 @@ def test_bijection_refuses_unchecked_input():
         inverse_quotient(0, StrictPartition(), [0])
     with pytest.raises(TypeError):
         inverse_quotient(1.0, StrictPartition(), Partition())
+
+
+def test_core_index_must_be_an_int():
+    # a float or Fraction core index is refused at the call, as inverse_quotient
+    # refuses such a charge, not compared with the length
+    lam = StrictPartition((11, 5, 2))
+    for bad in (2.5, 3.0, -3.0, Fraction(3)):
+        with pytest.raises(TypeError):
+            delta_sign(lam, bad)
+        with pytest.raises(TypeError):
+            abacus(lam, bad)
 
 
 def test_abacus_runner_assignment():

@@ -238,15 +238,15 @@ def test_verify_json_mismatch_writes_each_side(capsys, monkeypatch):
 
 
 def test_equal_verify_json_serializes_the_shared_side_once(capsys, monkeypatch):
-    # one to_json_obj for both equal sides, one for the zero difference
+    # one to_json_text for both equal sides, one for the zero difference
     calls = []
-    real = Polynomial.to_json_obj
+    real = Polynomial.to_json_text
 
     def recording(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(Polynomial, "to_json_obj", recording)
+    monkeypatch.setattr(Polynomial, "to_json_text", recording)
     code, out, _ = run_cli(capsys, "verify", "--case", "one", "--m", "3", "--n", "2", "--json")
     assert code == 0
     assert [p.is_zero for p in calls] == [False, True]

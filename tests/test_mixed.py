@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -203,3 +204,10 @@ def test_counts_must_be_ints():
             resolve_case("one", 1, bad)
     with pytest.raises(TypeError):
         verify("zero", 2, 2.0)
+
+
+def test_verify_reports_the_checked_n():
+    # the report holds the int the check ran with, so it dumps as a number
+    report = verify("one", 1, True)
+    assert type(report.n) is int and report.n == 1
+    assert json.dumps({"n": report.n}) == '{"n": 1}'

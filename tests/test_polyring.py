@@ -291,24 +291,50 @@ def test_json_form():
     assert Polynomial.zero().to_json_obj() == {"terms": []}
 
 
+def test_json_text():
+    # the text is byte for byte json.dumps of the JSON form: lowest terms with
+    # the sign on top, no zero exponent in a mono, and json.dumps's spacing
+    for p, text in (
+        (Polynomial.zero(), '{"terms": []}'),
+        (Polynomial.one(), '{"terms": [{"coeff": "1/1", "mono": {}}]}'),
+        (
+            t(1) ** 3 * Fraction(1, 6) - 2 * t(3),
+            '{"terms": [{"coeff": "1/6", "mono": {"1": "3"}}, {"coeff": "-2/1", "mono": {"3": "1"}}]}',
+        ),
+        (
+            # stored as -6/7 at weight 3 and -3/2 at weight 0: both stay Fractions
+            Polynomial({((1, 1), (2, 1)): Fraction(-1, 7), (): Fraction(-3, 2)}),
+            '{"terms": [{"coeff": "-3/2", "mono": {}}, {"coeff": "-1/7", "mono": {"1": "1", "2": "1"}}]}',
+        ),
+        (
+            -4 * t(1) * t(3) ** 2,
+            '{"terms": [{"coeff": "-4/1", "mono": {"1": "1", "3": "2"}}]}',
+        ),
+    ):
+        assert p.to_json_text() == text
+        assert json.dumps(json.loads(text)) == text
+
+
 @settings(max_examples=200, deadline=None)
 @given(polynomials())
 @example(Polynomial.zero())
 def test_json_form_matches_ordinary_basis_reference(p):
-    # to_json_obj writes num/den without a Fraction; the reference reads only
+    # to_json_text writes num/den without a Fraction; the reference reads only
     # the ordinary-basis terms snapshot, whose Fractions stay non-integral here
     # for some caller coefficients even after scaling by w!
-    assert p.to_json_obj() == ref_json_obj(dict(p.terms))
+    ref = ref_json_obj(dict(p.terms))
+    assert p.to_json_obj() == ref
+    assert p.to_json_text() == json.dumps(ref)
 
 
 def test_json_form_of_small_schur_polynomials_matches_reference():
     for n in range(9):
-        for parts in partitions_of(n):
-            p = schur_s(Partition(parts))
-            assert p.to_json_obj() == ref_json_obj(dict(p.terms)), parts
-        for parts in strict_partitions_of(n):
-            p = schur_q(StrictPartition(parts))
-            assert p.to_json_obj() == ref_json_obj(dict(p.terms)), parts
+        for p in [schur_s(Partition(parts)) for parts in partitions_of(n)] + [
+            schur_q(StrictPartition(parts)) for parts in strict_partitions_of(n)
+        ]:
+            ref = ref_json_obj(dict(p.terms))
+            assert p.to_json_obj() == ref, p
+            assert p.to_json_text() == json.dumps(ref), p
 
 
 def test_determinant_small():
