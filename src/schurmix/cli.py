@@ -33,7 +33,7 @@ from .schur import schur_q, schur_s
 # 1.0-2.4 s for verify --json of the 6x7 rectangle (28860 terms; writing its
 # JSON takes 0.10-0.16 s of that) and 1.0-2.3 s for schur-s of a shape such
 # as 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is
-# that 6x7, 2.8-3.6 s at a peak RSS of 66 MB; the host's speed drifts by tens
+# that 6x7, 2.7-3.1 s at a peak RSS of 63 MB; the host's speed drifts by tens
 # of percent.  The cost grows with the number of partitions of the weight.
 # The README examples and the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42

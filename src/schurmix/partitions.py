@@ -136,8 +136,8 @@ def case_color(case):
 
 
 def check_color(i, core_index=0):
-    """Refuse a color other than 0 or 1, or a core index of the wrong sign for it."""
-    if i not in (0, 1):
+    """Refuse a color other than the int 0 or 1, or a core index of the wrong sign for it."""
+    if index(i) not in (0, 1):
         raise ValueError(f"color must be 0 or 1, got {i}")
     if (core_index < 0) if i else (core_index > 0):
         raise ValueError(f"case {CASES[i]} needs a core index {'>=' if i else '<='} 0")

@@ -7,12 +7,13 @@ the same sum over monomials in odd variables only; both are built directly as
 such sums of divided powers.  S-polynomials come from the h Jacobi-Trudi
 determinant in the smaller of its two orientations: a shape with fewer columns
 than rows is built from its conjugate, whose determinant has size lam_1 rather
-than len(lam), and mapped back by the involution omega (S_lam' = omega(S_lam),
-omega: tj -> (-1)^(j+1) tj).  schur_s expands that determinant itself, along
-its top row, and every minor is one cached h_minor call keyed by its row
-offsets and column set up to a common shift: a minor shared by several shapes
-(the rectangle b^a is the bottom of b^(a+1)) is built once per process.
-polyring.determinant stays as the reference the tests hold it to.
+than len(lam), and mapped back on each call by the involution omega
+(S_lam' = omega(S_lam), omega: tj -> (-1)^(j+1) tj).  Each determinant is
+expanded along its top row, every minor one cached h_minor call keyed by its
+row offsets and column set up to a common shift, so h_minor is the one store
+of S-polynomials and a minor shared by several shapes (the rectangle b^a is
+the bottom of b^(a+1)) is built once per process.  polyring.determinant stays
+as the reference the tests hold it to.
 Q-polynomials expand the Pfaffian of the two-row building blocks along its
 first row, whose minors are the Q-polynomials of smaller strict partitions
 (Macdonald III.8):
@@ -92,14 +93,13 @@ def _shared_minor(offsets, mask):
     return h_minor(offsets, mask)
 
 
-@functools.cache
 def schur_s(lam):
     """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i).
 
-    The determinant has size min(len(lam), lam_1): when lam_1 < len(lam) the
-    result is omega of the S-polynomial of the conjugate partition.  Its row
-    offsets are lam_i - i and its columns j = 0 .. n-1, expanded through the
-    shared h_minor cache.
+    The determinant has size min(len(lam), lam_1).  A shape with at least as
+    many columns as rows returns its h_minor entry itself, row offsets
+    lam_i - i and columns j = 0 .. n-1.  When lam_1 < len(lam) the result is
+    omega of the conjugate's stored S, built on each call and kept nowhere.
     """
     parts = lam.parts
     n = len(parts)

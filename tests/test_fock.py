@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from schurmix import fock
+from schurmix import fock, partitions
 from schurmix.fock import (
     Sqrt2Power,
     a_count,
@@ -125,6 +125,24 @@ def test_f_chev_is_linear():
         assert f_chev(i, combine(v, w)) == combine(f_chev(i, v), f_chev(i, w))
         tripled = {lam: 3 * c for lam, c in v.items()}
         assert f_chev(i, tripled) == {lam: 3 * c for lam, c in f_chev(i, v).items()}
+
+
+def test_color_must_be_an_int(monkeypatch):
+    # 1.0 and Fraction(1) equal the color 1 but are refused at the call, before
+    # a node is added, a path counted or an operator applied
+    def refuse(*args):
+        raise AssertionError("built from a non-int color")
+
+    monkeypatch.setattr(partitions, "_grow", refuse)
+    monkeypatch.setattr(fock, "_path_counts", refuse)
+    monkeypatch.setattr(fock, "f_inf", refuse)
+    for color in (1.0, Fraction(1), 0.0, Fraction(0)):
+        with pytest.raises(TypeError):
+            add_set(bar_core(int(color)), color, 2)
+        with pytest.raises(TypeError):
+            lemma_co_sides(color, int(color), 1)
+        with pytest.raises(TypeError):
+            f_chev(color, {state(1): Fraction(1)})
 
 
 def test_a_count_includes_zero_pad():

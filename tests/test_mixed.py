@@ -162,6 +162,27 @@ def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
                 assert here == sorted(map(dual, sets[top - n])), (case, m, n)
 
 
+def test_sign_facts_of_the_summands_without_q1_or_q0():
+    # With the Hall product, the coordinate of S_rect at Q_a is
+    # <s_rect, P_a> >= 0, so a summand with q1 = () has sign +1; each check
+    # has exactly one.  The summands with q0 = () are the b with
+    # <s_rect, s_b[p_2]> != 0: one sign, the 2-sign of the rectangle, and
+    # each b once, since the rectangle's 2-quotient is two rectangles whose
+    # Schur product is multiplicity-free.  No polynomial is built.
+    summands = without_q0 = 0
+    for i, case in enumerate(CASES):
+        for m in range(9):
+            for n in range(2 * m + 2 - i):
+                terms = expansion_terms(case, m, n)
+                assert [t.sign for t in terms if not t.q1] == [1], (case, m, n)
+                pure = [t for t in terms if not t.q0]
+                assert len({t.sign for t in pure}) <= 1, (case, m, n)
+                assert len({t.q1 for t in pure}) == len(pure), (case, m, n)
+                summands += len(terms)
+                without_q0 += len(pure)
+    assert (summands, without_q0) == (29523, 1533)
+
+
 def test_sweep_small_cores():
     for case in ("one", "zero"):
         for m in range(4):

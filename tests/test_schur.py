@@ -105,7 +105,7 @@ def test_q_fun_uses_only_odd_variables():
 
 
 def test_cached_results_cannot_be_corrupted():
-    # schur_s((1, 1, 1)) is omega of the cached schur_s((3,)), which must not change
+    # schur_s((1, 1, 1)) is omega of schur_s((3,)), whose h_minor entry must not change
     cached = [
         (lambda: schur_s(Partition((1, 1, 1))), "1/6*t1^3 - t1*t2 + t3"),
         (lambda: schur_s(Partition((3,))), "1/6*t1^3 + t1*t2 + t3"),
@@ -126,7 +126,6 @@ def test_cached_results_cannot_be_corrupted():
         assert build().pretty() == expected
     # schur_s((3, 3, 3)) is itself a cached h minor, and schur_s((4, 3, 3))
     # reads all three of its 2 x 2 minors from the same cache
-    schur_s.cache_clear()
     schur.h_minor.cache_clear()
     square = schur_s(Partition((3, 3, 3)))
     with pytest.raises(AttributeError):
@@ -135,13 +134,23 @@ def test_cached_results_cannot_be_corrupted():
         square.terms[()] = 1
     with pytest.raises(AttributeError):
         square.terms = {}
-    schur_s.cache_clear()
     misses = schur.h_minor.cache_info().misses
     for parts in ((4, 3, 3), (3, 3, 3)):
         mat = [[complete_h(parts[i] + j - i) for j in range(3)] for i in range(3)]
         assert schur_s(Partition(parts)) == determinant(mat), parts
     # only the 3 x 3 minor of (4, 3, 3) is new
     assert schur.h_minor.cache_info().misses == misses + 1
+
+
+def test_h_minor_is_the_one_store_of_s_polynomials():
+    # a shape with at least as many columns as rows is its own h_minor entry;
+    # a taller one is omega of its conjugate's entry, built on each call and
+    # kept nowhere
+    assert schur_s(Partition((3, 2))) is schur.h_minor((3, 1), 0b11)
+    tall = Partition((1, 1, 1, 1))
+    first, second = schur_s(tall), schur_s(tall)
+    assert first == second == omega(schur.h_minor((4,), 0b1))
+    assert first is not second
 
 
 def test_series_pieces_are_homogeneous():
@@ -190,7 +199,7 @@ def test_shared_minors_match_each_shapes_own_determinant():
     # held to a plain determinant of its own: h_(lam_i + j - i), or for a
     # shape with more rows than columns e_(lam'_i + j - i) with e_n =
     # omega(h_n), since its h matrix (30 x 30 for 1^30) is too slow to expand.
-    for cache in (complete_h, q_fun, q_pair, schur_s, schur_q, schur.h_minor):
+    for cache in (complete_h, q_fun, q_pair, schur_q, schur.h_minor):
         cache.cache_clear()
     shapes = {parts for weight in range(13) for parts in partitions_of(weight)}
     # every rectangle of weight 30 or less, both b^a and a^b
