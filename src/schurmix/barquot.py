@@ -15,7 +15,7 @@ with no constructor running Python code.
 
 from __future__ import annotations
 
-from operator import add, index
+from operator import index
 from typing import NamedTuple
 
 from .partitions import Partition, StrictPartition, _new, _set_parts
@@ -45,34 +45,41 @@ def quotient(lam):
     negative entry j that is not excluded gets the number of excluded entries
     below j, so with X parts 3 mod 4 the tail of q1 is X - s repeated gap_s
     times, gap_s counting the entries strictly between the s-th and the
-    (s+1)-th excluded entry from the top (the 0-th being 0).
+    (s+1)-th excluded entry from the top (the 0-th being 0).  Each run is a
+    stretch of entries falling by one, and a negative entry inside a run of
+    equal parts leaves no hole.  With X > 0 every part of q1 is at least X,
+    so only with no part 3 mod 4 can the heads end in zeros to strip.
     """
     if not isinstance(lam, StrictPartition):
         raise TypeError(f"quotient: lam must be a StrictPartition, got {lam!r}")
     halves = []
     heads = []  # t + k for the k-th part 4t+1
     tail = []  # q1's tail, smallest entries first
-    threes = 0
-    above = 0
+    ones = threes = above = 0
     for p in lam.parts:
         if not p & 1:
             halves.append(p >> 1)
-        elif not p & 2:
-            heads.append((p >> 2) + len(heads) + 1)
-        else:
+        elif p & 2:
             # the (above - p)/4 - 1 entries strictly between the excluded
             # -(p+1)/4 and -(above+1)/4 have the threes passed so far below
             if threes:
                 tail += [threes] * (((above - p) >> 2) - 1)
             threes += 1
             above = p
-    # the (above - 3)/4 entries from -1 down to the top excluded one have all below
-    tail += [threes] * (above >> 2)
-    charge = len(heads) - threes
-    parts = [h - charge for h in heads]
-    parts += reversed(tail)
-    while parts and not parts[-1]:
-        parts.pop()
+        else:
+            ones += 1
+            heads.append((p >> 2) + ones)
+    charge = ones - threes
+    parts = [h - charge for h in heads] if charge else heads
+    if threes:
+        # the (above - 3)/4 entries from -1 down to the top excluded one have
+        # all below; every tail entry is at least 1, and so is every head
+        tail += [threes] * (above >> 2)
+        tail.reverse()
+        parts += tail
+    else:
+        while parts and not parts[-1]:
+            parts.pop()
     q0 = _new(StrictPartition)
     _set_parts(q0, tuple(halves))
     q1 = _new(Partition)
@@ -88,9 +95,11 @@ def inverse_quotient(charge, q0, q1):
     parts -4j-1, and q0 doubles back into the even parts.
 
     One pass over q1 reads the entries from the top; the negatives skipped
-    between two entries are the missing ones.  Past q1 the entries are
-    charge - k, all present, so the pass ends with the non-negative ones among
-    them and the negatives skipped above the first of them.
+    between two entries are the missing ones.  Inside a run of equal parts
+    the entries fall by one, so a negative entry there leaves no hole and
+    needs no scan.  Past q1 the entries are charge - k, all present, so the
+    pass ends with the non-negative ones among them and the negatives
+    skipped above the first of them.
     """
     charge = index(charge)
     if not isinstance(q0, StrictPartition):
@@ -99,15 +108,19 @@ def inverse_quotient(charge, q0, q1):
         raise TypeError(f"inverse_quotient: q1 must be a Partition, got {q1!r}")
     parts = [s << 1 for s in q0.parts]
     gap = 3  # part -4j-1 of the highest negative j not yet passed
-    n = len(q1.parts)
-    for e in map(add, q1.parts, range(charge - 1, charge - n - 1, -1)):
+    offset = charge  # charge - k at the k-th entry
+    for q in q1.parts:
+        offset -= 1
+        e = q + offset
         if e >= 0:
             parts.append(4 * e + 1)
         else:
-            parts += range(gap, -4 * e - 1, 4)
-            gap = -4 * e + 3
+            stop = -4 * e - 1
+            if gap != stop:
+                parts += range(gap, stop, 4)
+            gap = stop + 4
     # the first entry past q1; it and every later one are present
-    top = charge - n - 1
+    top = offset - 1
     parts += range(4 * top + 1, 0, -4)
     parts += range(gap, -4 * top - 1, 4)
     parts.sort(reverse=True)
@@ -153,18 +166,19 @@ def delta_sign(lam, core_index):
     """Parity sign of lam: -1 to the number of bead pairs (central, left)
     with the central bead strictly above the left one.
 
-    One pass over the parts, smallest first, counts the left beads seen so
-    far, the bead on 0 included, and adds that count at each central bead.
+    One pass over the parts, smallest first, keeps the parity of the left
+    beads seen so far, the bead on 0 included, and flips the sign's parity
+    at each central bead that has an odd count below it.
     """
     if not isinstance(lam, StrictPartition):
         raise TypeError(f"delta_sign: lam must be a StrictPartition, got {lam!r}")
     parts = lam.parts
     core_index = index(core_index)
-    left = int(core_index < 0 and len(parts) == -core_index)
-    pairs = 0
+    odd_left = core_index < 0 and len(parts) == -core_index
+    odd = False
     for p in reversed(parts):
         if not p & 1:
-            left += 1
-        elif not p & 2:
-            pairs += left
-    return -1 if pairs & 1 else 1
+            odd_left = not odd_left
+        elif odd_left and not p & 2:
+            odd = not odd
+    return -1 if odd else 1

@@ -69,9 +69,16 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self):
-        """Transposed diagram: part j is the number of parts >= j."""
+        """Transposed diagram: part j is the number of parts >= j.
+
+        The conjugate of a partition is one, so it is built without a second
+        check, as a Partition whatever the type of self.
+        """
         parts = self.parts
-        return Partition(sum(p >= j for p in parts) for j in range(1, max(parts, default=0) + 1))
+        columns = range(1, max(parts, default=0) + 1)
+        conj = _new(Partition)
+        _set_parts(conj, tuple(sum(p >= j for p in parts) for j in columns))
+        return conj
 
     def __len__(self):
         return len(self.parts)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurmix.barquot import (
     abacus,
@@ -193,6 +194,27 @@ def test_inverse_quotient_matches_maya_set():
                 assert lam == inverse_by_maya(charge, q0, q1), (charge, q0, q1)
                 count += 1
     assert count == 17 * 139 * 14
+
+
+# every strict partition of weight <= 12, the q0 of the long-run property
+SMALL_Q0 = [StrictPartition(p) for w in range(13) for p in strict_partitions_of(w)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.sampled_from(SMALL_Q0),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 16)), min_size=1, max_size=3),
+)
+def test_inverse_quotient_matches_maya_set_on_long_runs(charge, q0, runs):
+    # q1 of up to three runs of equal parts, each up to 16 long: inside a run
+    # the negative entries fall by one and leave no hole, and each change of
+    # part below the non-negative entries opens one
+    q1 = Partition(sorted((part for part, length in runs for _ in range(length)), reverse=True))
+    lam = inverse_quotient(charge, q0, q1)
+    assert lam == inverse_by_maya(charge, q0, q1)
+    assert_checks_pass(lam)
+    assert quotient(lam) == (charge, q0, q1)
 
 
 def test_bijection_refuses_unchecked_input():

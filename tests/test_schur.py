@@ -176,8 +176,16 @@ def test_conjugate():
     for weight in range(11):
         for parts in partitions_of(weight):
             lam = Partition(parts)
-            assert lam.conjugate().weight == weight
-            assert lam.conjugate().conjugate() == lam
+            conj = lam.conjugate()
+            # built without a check, it must hold what the constructor accepts
+            assert type(conj) is Partition and type(conj.parts) is tuple
+            assert Partition(conj.parts) == conj
+            assert conj.weight == weight
+            assert conj.conjugate() == lam
+    for parts in ((5, 3, 1), (4, 2)):
+        conj = StrictPartition(parts).conjugate()
+        assert type(conj) is Partition
+        assert Partition(conj.parts) == conj
 
 
 def test_schur_s_matches_plain_jacobi_trudi():
