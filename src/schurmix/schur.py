@@ -20,8 +20,11 @@ first row, whose minors are the Q-polynomials of smaller strict partitions
 
     Q_lam = sum over j >= 2 of (-1)^j q_(lam_1, lam_j) Q_(lam without lam_1, lam_j),
 
-with lam zero-padded to even length.  Each minor is a cached schur_q call, so
-a sub-Q is built once per process, whichever Q first asked for it.
+with lam zero-padded to even length.  Each entry and each minor is one cached
+q_minor call keyed by its strict parts tuple, a pair's entry being q_pair
+itself, so q_minor is the one store of Q-polynomials: schur_q keeps no cache
+of its own, q_pair is called once per distinct pair, and a sub-Q is built once
+per process, whichever Q first asked for it.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ def q_fun(n):
     return divided_powers(n, 2)
 
 
-@functools.cache
 def q_pair(m, n):
-    """Two-row building block q_(m,n) for m > n >= 0, the only pairs schur_q asks for."""
+    """Two-row building block q_(m,n) for m > n >= 0, the only pairs q_minor asks
+    for and stores."""
     if not m > n >= 0:
         raise ValueError(f"q_pair needs m > n >= 0, got ({m}, {n})")
     # q_m q_n + 2 * sum over 0 < i <= n of (-1)^i q_(m+i) q_(n-i)
@@ -109,23 +112,36 @@ def schur_s(lam):
 
 
 @functools.cache
-def schur_q(lam):
-    """Q-polynomial of a strict partition, expanded along its largest part.
+def q_minor(parts):
+    """Q-polynomial of a strict partition given by its parts tuple, expanded
+    along its head.
 
-    Odd length partitions get a single trailing 0, so the padded parts
-    strictly decrease and every pair is a q_pair(a, b) with a > b.  The term of
-    each b after the head recurses into the strict partition left after
-    removing the head, b and the 0: the minor of the Pfaffian of the q_pair
-    matrix.
+    Odd length tuples get a single trailing 0, so the padded parts strictly
+    decrease and a pair (m, n) is q_pair(m, n) itself.  A longer tuple pairs
+    its head with each later b: the entry is the pair's own q_minor, (head,)
+    for the zero pad, and the minor the q_minor of what is left after removing
+    the head, b and the 0.
     """
-    parts = lam.parts
     if not parts:
         return Polynomial.one()
     head, *rest = parts if len(parts) % 2 == 0 else parts + (0,)
+    if len(rest) == 1:
+        return q_pair(head, rest[0])
     return sum_of_products(
-        ((-1) ** k, q_pair(head, b), schur_q(StrictPartition(p for p in rest if p and p != b)))
+        (
+            (-1) ** k,
+            q_minor((head, b) if b else (head,)),
+            q_minor(tuple(p for p in rest if p and p != b)),
+        )
         for k, b in enumerate(rest)
     )
+
+
+def schur_q(lam):
+    """Q-polynomial of a strict partition: its q_minor entry itself."""
+    if not isinstance(lam, StrictPartition):
+        raise TypeError(f"schur_q: lam must be a StrictPartition, got {lam!r}")
+    return q_minor(lam.parts)
 
 
 def rect_schur(a, b):

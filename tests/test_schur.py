@@ -153,6 +153,27 @@ def test_h_minor_is_the_one_store_of_s_polynomials():
     assert first is not second
 
 
+def test_q_minor_is_the_one_store_of_q_polynomials():
+    # schur_q returns the q_minor entry itself, a two-part Q is its pair's
+    # entry, and neither schur_q nor q_pair keeps a cache of its own
+    assert schur_q(StrictPartition((4, 2, 1))) is schur.q_minor((4, 2, 1))
+    pair = schur_q(StrictPartition((3, 1)))
+    assert pair is schur.q_minor((3, 1)) and pair == q_pair(3, 1)
+    assert schur_q(StrictPartition((3,))) is schur.q_minor((3,))
+    for fn in (schur_q, q_pair):
+        assert not hasattr(fn, "cache_info"), fn
+
+
+def test_schur_q_refuses_a_partition_that_is_not_strict(monkeypatch):
+    def unreachable(parts):
+        raise AssertionError(f"q_minor reached with {parts!r}")
+
+    monkeypatch.setattr(schur, "q_minor", unreachable)
+    for lam in (Partition((3, 3, 1)), Partition((3, 1)), Partition(), (3, 1), None):
+        with pytest.raises(TypeError, match="schur_q: lam must be a StrictPartition"):
+            schur_q(lam)
+
+
 def test_series_pieces_are_homogeneous():
     for n in range(11):
         assert homogeneous_degree(complete_h(n)) == n
@@ -207,7 +228,7 @@ def test_shared_minors_match_each_shapes_own_determinant():
     # held to a plain determinant of its own: h_(lam_i + j - i), or for a
     # shape with more rows than columns e_(lam'_i + j - i) with e_n =
     # omega(h_n), since its h matrix (30 x 30 for 1^30) is too slow to expand.
-    for cache in (complete_h, q_fun, q_pair, schur_q, schur.h_minor):
+    for cache in (complete_h, q_fun, schur.q_minor, schur.h_minor):
         cache.cache_clear()
     shapes = {parts for weight in range(13) for parts in partitions_of(weight)}
     # every rectangle of weight 30 or less, both b^a and a^b
@@ -236,8 +257,10 @@ def test_q_pair_values():
 
 def test_schur_q_asks_q_pair_only_for_m_above_n(monkeypatch):
     # the head of a strictly decreasing, zero-padded seq paired with each
-    # later entry; the top call is not cached, so all of its pairs reach the
-    # recorder
+    # later entry; with the store emptied first, every pair q_minor asks for
+    # reaches the recorder, and the top call is not cached, so the one- and
+    # two-part tuples ask for theirs on every call
+    schur.q_minor.cache_clear()
     asked = []
 
     def recorder(m, n):
@@ -247,7 +270,7 @@ def test_schur_q_asks_q_pair_only_for_m_above_n(monkeypatch):
     monkeypatch.setattr(schur, "q_pair", recorder)
     for weight in range(13):
         for parts in strict_partitions_of(weight):
-            schur.schur_q.__wrapped__(StrictPartition(parts))
+            schur.q_minor.__wrapped__(parts)
     assert asked and all(m > n >= 0 for m, n in asked)
     assert {n for _, n in asked} >= {0, 1}
 
@@ -264,14 +287,19 @@ def test_schur_q_basics():
 
 def test_schur_q_matches_the_pfaffian():
     # the recursion through cached smaller Qs against the memoised Pfaffian of
-    # the whole q_pair upper triangle, zero pad included
+    # the whole q_pair upper triangle, zero pad included.  schur_q builds every
+    # shape from one process-wide store, so with every cache cleared and the
+    # shapes in a shuffled order a Q may first be built as another's minor
+    for cache in (complete_h, q_fun, schur.q_minor, schur.h_minor):
+        cache.cache_clear()
+    order = [parts for weight in range(15) for parts in strict_partitions_of(weight)]
+    random.Random(2005).shuffle(order)
     cases = 0
-    for weight in range(15):
-        for parts in strict_partitions_of(weight):
-            seq = parts if len(parts) % 2 == 0 else parts + (0,)
-            upper = [[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)]
-            assert schur_q(StrictPartition(parts)) == pfaffian(upper), parts
-            cases += 1
+    for parts in order:
+        seq = parts if len(parts) % 2 == 0 else parts + (0,)
+        upper = [[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)]
+        assert schur_q(StrictPartition(parts)) == pfaffian(upper), parts
+        cases += 1
     assert cases == 110
 
 
