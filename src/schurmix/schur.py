@@ -4,16 +4,18 @@ h_n is the coefficient of z^n in exp(sum_k t_k z^k) and q_n the coefficient of
 z^n in exp(sum_k odd t_k z^k).  Expanding the exponential term by term, h_n is
 the sum of prod tj^mj / mj! over every monomial of weighted degree n, and q_n
 the same sum over monomials in odd variables only; both are built directly as
-such sums of divided powers.  S-polynomials come from the h Jacobi-Trudi
-determinant in the smaller of its two orientations: a shape with fewer columns
-than rows is built from its conjugate, whose determinant has size lam_1 rather
-than len(lam), and mapped back on each call by the involution omega
-(S_lam' = omega(S_lam), omega: tj -> (-1)^(j+1) tj).  Each determinant is
-expanded along its top row, every minor one cached h_minor call keyed by its
-row offsets and column set up to a common shift, so h_minor is the one store
-of S-polynomials and a minor shared by several shapes (the rectangle b^a is
-the bottom of b^(a+1)) is built once per process.  polyring.determinant stays
-as the reference the tests hold it to.
+such sums of divided powers, once each per process: h_n is the one-row entry
+((n,), 1) of h_minor and q_n the one-part entry (n,) of q_minor.
+S-polynomials come from the h Jacobi-Trudi determinant in the smaller of its
+two orientations: a shape with fewer columns than rows is built from its
+conjugate, whose determinant has size lam_1 rather than len(lam), and mapped
+back on each call by the involution omega (S_lam' = omega(S_lam), omega:
+tj -> (-1)^(j+1) tj).  Each determinant is expanded along its top row, every
+minor one cached h_minor call keyed by its row offsets and column set up to a
+common shift, so h_minor is the one store of S-polynomials and a minor shared
+by several shapes (the rectangle b^a is the bottom of b^(a+1)) is built once
+per process.  polyring.determinant stays as the reference the tests hold it
+to.
 Q-polynomials expand the Pfaffian of the two-row building blocks along its
 first row, whose minors are the Q-polynomials of smaller strict partitions
 (Macdonald III.8):
@@ -24,7 +26,8 @@ with lam zero-padded to even length.  Each entry and each minor is one cached
 q_minor call keyed by its strict parts tuple, a pair's entry being q_pair
 itself, so q_minor is the one store of Q-polynomials: schur_q keeps no cache
 of its own, q_pair is called once per distinct pair, and a sub-Q is built once
-per process, whichever Q first asked for it.
+per process, whichever Q first asked for it.  complete_h and q_fun keep no
+cache either, so h_minor and q_minor are the module's only two.
 """
 
 from __future__ import annotations
@@ -35,23 +38,26 @@ from .partitions import Partition, StrictPartition
 from .polyring import Polynomial, divided_powers, omega, sum_of_products
 
 
-@functools.cache
 def complete_h(n):
-    """h_n: every monomial of weighted degree n as a divided power, 0 for n < 0."""
-    return divided_powers(n, 1)
+    """h_n, the S of the one-row shape (n): its h_minor entry itself, 0 for n < 0."""
+    return h_minor((n,), 1)
 
 
-@functools.cache
 def q_fun(n):
-    """q_n: every monomial of weighted degree n in odd variables as a divided power."""
-    return divided_powers(n, 2)
+    """q_n, the Q of the one-part shape (n): its q_minor entry itself for n > 0,
+    the entry of () for n = 0 and 0 for n < 0."""
+    if n < 0:
+        return Polynomial.zero()
+    return q_minor((n,) if n else ())
 
 
 def q_pair(m, n):
     """Two-row building block q_(m,n) for m > n >= 0, the only pairs q_minor asks
-    for and stores."""
+    for and stores; q_(m,0) is q_m, built directly as a divided-power sum."""
     if not m > n >= 0:
         raise ValueError(f"q_pair needs m > n >= 0, got ({m}, {n})")
+    if n == 0:
+        return divided_powers(m, 2)
     # q_m q_n + 2 * sum over 0 < i <= n of (-1)^i q_(m+i) q_(n-i)
     return sum_of_products(
         ((-1) ** i * (2 if i else 1), q_fun(m + i), q_fun(n - i)) for i in range(n + 1)
@@ -63,12 +69,16 @@ def h_minor(offsets, mask):
     """Determinant of h_(a + j) over the rows a in offsets, top to bottom, and
     the columns j set in mask, one column per row.
 
-    Expanded along the top row, each entry's sign the parity of its column's
-    position among the set ones.  Every sub-minor goes through _shared_minor.
+    A one-row minor is h_(a + j) itself, built directly as a divided-power
+    sum.  A taller one is expanded along the top row, each entry's sign the
+    parity of its column's position among the set ones.  Every sub-minor goes
+    through _shared_minor.
     """
     if not mask:
         return Polynomial.one()
     top, below = offsets[0], offsets[1:]
+    if not below:
+        return divided_powers(top + mask.bit_length() - 1, 1)
 
     def terms():
         sign, rest = 1, mask
@@ -104,6 +114,8 @@ def schur_s(lam):
     lam_i - i and columns j = 0 .. n-1.  When lam_1 < len(lam) the result is
     omega of the conjugate's stored S, built on each call and kept nowhere.
     """
+    if not isinstance(lam, Partition):
+        raise TypeError(f"schur_s: lam must be a Partition, got {lam!r}")
     parts = lam.parts
     n = len(parts)
     if n and parts[0] < n:

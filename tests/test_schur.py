@@ -134,9 +134,13 @@ def test_cached_results_cannot_be_corrupted():
         square.terms[()] = 1
     with pytest.raises(AttributeError):
         square.terms = {}
+    # complete_h(6) is an h_minor entry too, so the matrices come first
+    mats = {
+        parts: [[complete_h(parts[i] + j - i) for j in range(3)] for i in range(3)]
+        for parts in ((4, 3, 3), (3, 3, 3))
+    }
     misses = schur.h_minor.cache_info().misses
-    for parts in ((4, 3, 3), (3, 3, 3)):
-        mat = [[complete_h(parts[i] + j - i) for j in range(3)] for i in range(3)]
+    for parts, mat in mats.items():
         assert schur_s(Partition(parts)) == determinant(mat), parts
     # only the 3 x 3 minor of (4, 3, 3) is new
     assert schur.h_minor.cache_info().misses == misses + 1
@@ -151,6 +155,15 @@ def test_h_minor_is_the_one_store_of_s_polynomials():
     first, second = schur_s(tall), schur_s(tall)
     assert first == second == omega(schur.h_minor((4,), 0b1))
     assert first is not second
+    # h_n is the one-row shape's entry, shared with every one-row sub-minor
+    for n in range(1, 9):
+        assert schur_s(Partition((n,))) is complete_h(n) is schur.h_minor((n,), 1)
+
+
+def test_schur_keeps_two_caches():
+    # h_n and q_n live in the minor stores, so they are the module's only caches
+    cached = {name for name, obj in vars(schur).items() if hasattr(obj, "cache_info")}
+    assert cached == {"h_minor", "q_minor"}
 
 
 def test_q_minor_is_the_one_store_of_q_polynomials():
@@ -162,6 +175,10 @@ def test_q_minor_is_the_one_store_of_q_polynomials():
     assert schur_q(StrictPartition((3,))) is schur.q_minor((3,))
     for fn in (schur_q, q_pair):
         assert not hasattr(fn, "cache_info"), fn
+    # q_n is the one-part shape's entry, and q_pair(n, 0) builds it
+    for n in range(1, 9):
+        assert schur_q(StrictPartition((n,))) is q_fun(n)
+        assert q_pair(n, 0) == q_fun(n)
 
 
 def test_schur_q_refuses_a_partition_that_is_not_strict(monkeypatch):
@@ -172,6 +189,16 @@ def test_schur_q_refuses_a_partition_that_is_not_strict(monkeypatch):
     for lam in (Partition((3, 3, 1)), Partition((3, 1)), Partition(), (3, 1), None):
         with pytest.raises(TypeError, match="schur_q: lam must be a StrictPartition"):
             schur_q(lam)
+
+
+def test_schur_s_refuses_a_lam_that_is_not_a_partition(monkeypatch):
+    def unreachable(offsets, mask):
+        raise AssertionError(f"h_minor reached with {offsets!r}, {mask!r}")
+
+    monkeypatch.setattr(schur, "h_minor", unreachable)
+    for lam in ((3, 1), [3, 1], (), None, "31"):
+        with pytest.raises(TypeError, match="schur_s: lam must be a Partition"):
+            schur_s(lam)
 
 
 def test_series_pieces_are_homogeneous():
@@ -221,6 +248,23 @@ def test_schur_s_matches_plain_jacobi_trudi():
             assert schur_s(lam.conjugate()) == omega(schur_s(lam)), parts
 
 
+def test_tall_shapes_match_their_own_h_determinant():
+    # schur_s builds a shape with more rows than columns from its conjugate
+    # and omega; here each is held to the h matrix h_(lam_i + j - i) of its
+    # own orientation, which uses neither map
+    schur.h_minor.cache_clear()
+    cases = 0
+    for weight in range(13):
+        for parts in partitions_of(weight):
+            n = len(parts)
+            if not parts or parts[0] >= n:
+                continue
+            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
+            assert schur_s(Partition(parts)) == determinant(mat), parts
+            cases += 1
+    assert cases == 120
+
+
 def test_shared_minors_match_each_shapes_own_determinant():
     # schur_s builds every shape from one process-wide cache of h minors, so
     # a minor may first be built for any other shape that contains it.  With
@@ -228,7 +272,7 @@ def test_shared_minors_match_each_shapes_own_determinant():
     # held to a plain determinant of its own: h_(lam_i + j - i), or for a
     # shape with more rows than columns e_(lam'_i + j - i) with e_n =
     # omega(h_n), since its h matrix (30 x 30 for 1^30) is too slow to expand.
-    for cache in (complete_h, q_fun, schur.q_minor, schur.h_minor):
+    for cache in (schur.q_minor, schur.h_minor):
         cache.cache_clear()
     shapes = {parts for weight in range(13) for parts in partitions_of(weight)}
     # every rectangle of weight 30 or less, both b^a and a^b
@@ -290,7 +334,7 @@ def test_schur_q_matches_the_pfaffian():
     # the whole q_pair upper triangle, zero pad included.  schur_q builds every
     # shape from one process-wide store, so with every cache cleared and the
     # shapes in a shuffled order a Q may first be built as another's minor
-    for cache in (complete_h, q_fun, schur.q_minor, schur.h_minor):
+    for cache in (schur.q_minor, schur.h_minor):
         cache.cache_clear()
     order = [parts for weight in range(15) for parts in strict_partitions_of(weight)]
     random.Random(2005).shuffle(order)
