@@ -10,9 +10,9 @@ has color i in the sense of :mod:`schurmix.partitions`.
 
 Applying the color i operator ell times to a core state and dividing by ell!
 spreads the state over the color i addition set with sqrt 2 powers as
-coefficients; :func:`lemma_co_check` verifies that expansion exactly.  Every
-coefficient on either side is a rational times sqrt2^0 or sqrt2^1, held as a
-:class:`Sqrt2Power`.
+coefficients; :func:`lemma_co_sides` computes both sides of that expansion,
+which are equal.  Every coefficient on either side is a rational times sqrt2^0
+or sqrt2^1, held as a :class:`Sqrt2Power`.
 
 :func:`lemma_co_sides` computes the divided power on integer path counts, not
 by applying :func:`f_chev` ell times.  Every index 0 step adds one row, so a
@@ -172,9 +172,3 @@ def lemma_co_sides(i, core_index, ell):
     power = cache(lambda k: Sqrt2Power.of(1, k - eps))
     right = {lam: power(a_count(lam)) for lam in add_set(core, i, ell)}
     return left, right
-
-
-def lemma_co_check(i, core_index, ell):
-    """True when the divided power expansion matches the weighted sum."""
-    left, right = lemma_co_sides(i, core_index, ell)
-    return left == right

@@ -128,13 +128,6 @@ _new = object.__new__
 _set_parts = Partition.parts.__set__
 
 
-def color(j):
-    """Color of diagram column j >= 1."""
-    if j < 1:
-        raise ValueError(f"column index must be positive, got {j}")
-    return (j >> 1) & 1
-
-
 def case_color(case):
     """Color of a case name."""
     if case not in CASES:

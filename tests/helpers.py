@@ -1,14 +1,18 @@
-"""Shared test utilities: enumeration, random generators, independent oracles."""
+"""Shared test utilities: enumeration, random generators, independent oracles.
+
+The CI steps import the enumerators and oracles from here too, so hypothesis
+is imported only by the two strategies that need it: a step's RSS bound then
+measures the library, not the test framework.
+"""
 
 import functools
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-
-from hypothesis import strategies as st
+from math import factorial
 
 from schurmix.barquot import QuotientTriple
-from schurmix.partitions import Partition, StrictPartition, color
+from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import Polynomial
 
 
@@ -98,6 +102,8 @@ def random_poly(rng, max_terms=3, max_var=3, max_exp=2):
 def polynomials(max_terms=4, max_var=4, max_exp=3):
     """Hypothesis strategy for polynomials shaped like random_poly's, over
     t1..t(max_var) so that even variables occur."""
+    from hypothesis import strategies as st
+
     mono = st.dictionaries(st.integers(1, max_var), st.integers(0, max_exp))
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     return st.lists(st.tuples(mono, coeff), max_size=max_terms).map(Polynomial)
@@ -105,6 +111,8 @@ def polynomials(max_terms=4, max_var=4, max_exp=3):
 
 def strict_parts(max_part=12, max_len=5):
     """Hypothesis strategy for strict partitions as decreasing tuples."""
+    from hypothesis import strategies as st
+
     values = st.sets(st.integers(1, max_part), max_size=max_len)
     return values.map(lambda parts: tuple(sorted(parts, reverse=True)))
 
@@ -153,6 +161,11 @@ def pfaffian_by_matchings(mat):
             term = term * mat[i][j]
         total = total + term
     return total
+
+
+def color(j):
+    """Color of diagram column j >= 1, the paper's 0, 1, 1, 0 with period four."""
+    return (j >> 1) & 1
 
 
 def single_additions(parts, i):
@@ -271,6 +284,23 @@ def classical_q_value(shape, xs):
 def power_sum_assignment(xs, top):
     """tj values p_j(xs)/j for j = 1..top."""
     return {j: Fraction(sum(Fraction(x) ** j for x in xs), j) for j in range(1, top + 1)}
+
+
+def hall_norm(p):
+    """(p, p)' = <p, p at t -> 2t>, with <,> the Hall product in t.
+
+    Monomials are orthogonal and <t^m, t^m> = prod_k m_k! / k^m_k, since
+    p_k = k t_k; t -> 2t scales t^m by 2^(sum m_k).  So the norm is the sum
+    over the terms of c^2 prod_k 2^m_k m_k! / k^m_k.  For a rectangle it is
+    binom(rows + cols, rows), the number of shapes inside it.
+    """
+    total = Fraction(0)
+    for mono, coeff in p.sorted_terms():
+        weight = coeff * coeff
+        for k, m in mono:
+            weight *= Fraction(2**m * factorial(m), k**m)
+        total += weight
+    return total
 
 
 # Ordinary-basis reference arithmetic: plain {monomial: Fraction} dicts, built

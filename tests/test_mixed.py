@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -181,6 +182,27 @@ def test_sign_facts_of_the_summands_without_q1_or_q0():
                 summands += len(terms)
                 without_q0 += len(pure)
     assert (summands, without_q0) == (29523, 1533)
+
+
+def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
+    # Under (f, g)' = <f, g at t -> 2t> the products Q_a S_b(t2) are
+    # orthogonal with norm 2^len(a), and (S_rect, S_rect)' is
+    # binom(rows + cols, rows).  So distinct pairs (q0, q1) whose 2^len(q0)
+    # add up to that binomial leave no room for any other coordinate.  Read
+    # from expansion_terms alone, no polynomial built; the totals pin the set
+    checks = summands = 0
+    for i, case in enumerate(CASES):
+        for m in range(9):
+            for n in range(2 * m + 2 - i):
+                rows, cols = resolve_case(case, m, n)[2]
+                if not rows * cols:
+                    continue
+                terms = expansion_terms(case, m, n)
+                assert len({(t.q0, t.q1) for t in terms}) == len(terms), (case, m, n)
+                assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
+                checks += 1
+                summands += len(terms)
+    assert (checks, summands) == (136, 29488)
 
 
 def test_sweep_small_cores():

