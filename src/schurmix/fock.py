@@ -121,26 +121,34 @@ def _path_counts(i, core, ell):
     N counts the paths of elementary steps, each index 0 step counted as 1 from
     an odd length state and 2 from an even one, so N / 2^r is the sum of the
     path weights when the path adds r rows.
+
+    The walk holds each state as a bitmask, bit p set for a part p, and
+    turns the masks into parts tuples once, after the last step.  A part p
+    may move when column p + 1 has color i (bit p of colored) and p + 1 is
+    not a part; the move adds bit p to the mask, carrying it to bit p + 1.
+    No part grows by more than two columns, so colored is sized by the
+    core's largest part plus 3, whatever ell is.
     """
-    states = {core: 1}
+    top = max(core, default=0) + 3
+    colored = sum(1 << p for p in range(top) if ((p + 1) >> 1) & 1 == i)
+    states = {sum(1 << p for p in core): 1}
     for _ in range(ell):
         if not states:
             break
         nxt = {}
-        for parts, count in states.items():
-            prev = 0
-            for j, p in enumerate(parts):
-                # parts strictly decrease, so p + 1 is present only as parts[j - 1]
-                if ((p + 1) >> 1) & 1 == i and prev != p + 1:
-                    key = parts[:j] + (p + 1,) + parts[j + 1 :]
-                    nxt[key] = nxt.get(key, 0) + count
-                prev = p
-            # prev is now the smallest part, or 0 for the empty state
-            if i == 0 and prev != 1:
-                key = parts + (1,)
-                nxt[key] = nxt.get(key, 0) + (count if len(parts) % 2 else 2 * count)
+        for mask, count in states.items():
+            movable = mask & colored & ~(mask >> 1)
+            while movable:
+                low = movable & -movable
+                key = mask + low
+                nxt[key] = nxt.get(key, 0) + count
+                movable -= low
+            # the index 0 step opens a row of length 1 when 1 is not a part
+            if i == 0 and not mask & 2:
+                key = mask | 2
+                nxt[key] = nxt.get(key, 0) + (count if mask.bit_count() & 1 else 2 * count)
         states = nxt
-    return states
+    return {tuple(p for p in range(top, 0, -1) if mask >> p & 1): n for mask, n in states.items()}
 
 
 def lemma_co_sides(i, core_index, ell):

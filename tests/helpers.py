@@ -10,6 +10,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
+from types import CodeType
 
 from schurmix.barquot import QuotientTriple
 from schurmix.partitions import Partition, StrictPartition
@@ -109,11 +110,11 @@ def polynomials(max_terms=4, max_var=4, max_exp=3):
     return st.lists(st.tuples(mono, coeff), max_size=max_terms).map(Polynomial)
 
 
-def strict_parts(max_part=12, max_len=5):
+def strict_parts(max_part=12, max_len=5, min_len=0):
     """Hypothesis strategy for strict partitions as decreasing tuples."""
     from hypothesis import strategies as st
 
-    values = st.sets(st.integers(1, max_part), max_size=max_len)
+    values = st.sets(st.integers(1, max_part), min_size=min_len, max_size=max_len)
     return values.map(lambda parts: tuple(sorted(parts, reverse=True)))
 
 
@@ -454,9 +455,23 @@ def inverse_by_maya(charge, q0, q1):
     return StrictPartition(sorted(parts, reverse=True))
 
 
+def _with_nested(code):
+    """code and the code objects inside it, such as a comprehension's."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield from _with_nested(const)
+
+
 @contextmanager
-def line_budget(code, limit):
-    """Raise AssertionError once the frames of code have run more than limit lines."""
+def line_budget(limit, *codes):
+    """Raise AssertionError once the frames of codes, and of the code nested in
+    them, have run more than limit lines together.
+
+    Counting several functions under one budget keeps the bound from going
+    vacuous when work moves from one of them into a helper."""
+    counted = {nested for code in codes for nested in _with_nested(code)}
+    names = ", ".join(code.co_name for code in codes)
     lines = 0
 
     def local(frame, event, arg):
@@ -464,11 +479,11 @@ def line_budget(code, limit):
         if event == "line":
             lines += 1
             if lines > limit:
-                raise AssertionError(f"{code.co_name} ran more than {limit} lines")
+                raise AssertionError(f"{names} ran more than {limit} lines")
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in counted else None)
     try:
         yield
     finally:

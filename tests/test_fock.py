@@ -176,7 +176,7 @@ def test_lemma_beyond_window_is_zero(monkeypatch):
 
     monkeypatch.setattr(fock, "factorial", refuse)
     for i, core_index in ((1, 1), (0, -3)):
-        with line_budget(fock._path_counts.__code__, 10**4):
+        with line_budget(10**4, fock._path_counts.__code__):
             assert lemma_co_sides(i, core_index, 10**9) == ({}, {})
 
 
@@ -221,12 +221,16 @@ def test_path_counts_match_f_chev_oracle():
     # The step-by-step f_chev expansion, times sqrt2^ell and divided by ell!,
     # is the reference for the path-count divided power side, coefficient by
     # coefficient, and both sides come in decreasing lexicographic order.
-    for core_index in range(-4, 5):
+    # Cores -4..4 run to one past their window; cores +-17 and +-20, whose
+    # parts run up to 79, so that the walk's states are wider than 64 bits,
+    # stop at ell 3.
+    for core_index in (*range(-4, 5), -20, -17, 17, 20):
         colors = (0, 1) if core_index == 0 else ((1,) if core_index > 0 else (0,))
         for i in colors:
             window = 2 * abs(core_index) + (1 if i == 0 else 0)
+            ells = window + 2 if abs(core_index) <= 4 else 4
             expected = {bar_core(core_index): Fraction(1)}
-            for ell in range(window + 2):
+            for ell in range(ells):
                 if ell:
                     expected = f_chev(i, expected)
                 oracle = {

@@ -247,6 +247,28 @@ def test_add_set_matches_closure_on_random_partitions(parts, i, data):
     assert got == sorted(closure_oracle(parts, i, ell), reverse=True)
 
 
+def test_add_set_matches_closure_across_the_table_boundary():
+    # add_set fills the last rows from a table and searches the rows above
+    # them; with 7 parts or more, and gaps of 1 or 2, a prefix's last part
+    # can be at or below a table fill's first part, which must be skipped
+    for parts in (
+        (10, 9, 8, 7, 5, 4, 2, 1),
+        (9, 8, 7, 6, 5, 4, 3),
+        (13, 11, 10, 8, 7, 6, 4, 3, 2, 1),
+    ):
+        for i in (0, 1):
+            for ell in range(7):
+                got = [mu.parts for mu in add_set(StrictPartition(parts), i, ell)]
+                assert got == sorted(closure_oracle(parts, i, ell), reverse=True), (parts, i, ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strict_parts(max_part=14, min_len=7, max_len=10), st.sampled_from((0, 1)), st.integers(0, 6))
+def test_add_set_matches_closure_on_long_random_partitions(parts, i, ell):
+    got = [mu.parts for mu in add_set(StrictPartition(parts), i, ell)]
+    assert got == sorted(closure_oracle(parts, i, ell), reverse=True)
+
+
 def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
     # at the bound a core still has exactly one result
     small = bar_core(-4)
@@ -272,7 +294,8 @@ def test_add_set_near_the_top_of_the_window_cannot_hang():
     # top of its window visits about 3^14 partial rows; with it each call
     # below runs under 5000 lines of the search.
     # At the top every row takes two nodes; one below it, one row takes one
-    # node fewer, or (color 0) the new row of length 1 stays empty.
+    # node fewer, or (color 0) the new row of length 1 stays empty.  The
+    # budget counts the search and the table it fills the last rows from.
     for core_index, i, ell, count in (
         (14, 1, 28, 1),
         (14, 1, 27, 14),
@@ -280,7 +303,7 @@ def test_add_set_near_the_top_of_the_window_cannot_hang():
         (-14, 0, 28, 15),
     ):
         core = bar_core(core_index)
-        with line_budget(partitions._grow.__code__, 10**5):
+        with line_budget(10**5, partitions._grow.__code__, partitions._fills.__code__):
             got = list(add_set(core, i, ell))
         assert len(got) == count
         assert got == sorted(set(got), key=lambda mu: mu.parts, reverse=True)
