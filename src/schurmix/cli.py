@@ -46,12 +46,12 @@ MAX_CORE_INDEX = 1000
 
 # enumerate prints the addition set one partition at a time, so these limits
 # bound its output and time.  Its size peaks near ell = |core|: on the same
-# host, with start-up, 17303 partitions in 0.1 s for core -10, 143365 in
-# 0.5 s for core -12 and 414584 in 1.3 s for core -13.  A core with index m
+# host, with start-up, 17303 partitions in 0.2 s for core -10, 143365 in
+# 0.5 s for core -12 and 414584 in 1.4 s for core -13.  A core with index m
 # takes at most 2|m| + 1 nodes of its color, so no larger ell has a result.
 # fock-check prints the same addition set twice, with a coefficient each, so
 # it shares these limits; its slowest admitted inputs, core -10 at ell 11 to
-# 13, take 0.4-0.5 s each on the same host.
+# 13, take 0.5-0.6 s each on the same host.
 MAX_ENUMERATE_CORE = 10
 MAX_ENUMERATE_ELL = 2 * MAX_ENUMERATE_CORE + 1
 

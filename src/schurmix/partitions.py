@@ -17,7 +17,7 @@ cannot be changed after it is built, so a checked one stays valid.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import chain
 from operator import index
 
 # A case name's index is its color.
@@ -180,97 +180,65 @@ def add_set(lam, i, ell):
     return _grow(bases, gain, ell)
 
 
-# add_set fills the last _TABLE_ROWS rows, the fresh row among them, from one
-# table of at most 3^6 fills, and searches only the rows above them.
-_TABLE_ROWS = 6
-
-
 def _grow(bases, gain, ell):
     """Search behind add_set; bases is lam's parts and a 0, ell > 0.
 
-    The last _TABLE_ROWS rows, from row mid down, are filled from _fills;
-    the rows above them by a row-by-row search.  Its stack holds partial
-    results, the rows filled so far and the nodes left.  cap[row] is the most
-    color i nodes the rows from row down can take, so a row's fill that
-    leaves the rows below more than they can take is never pushed, and
-    neither is one that leaves no node: that one, the largest fill, is
-    yielded at once.  The other fills are pushed smallest first, so the
-    largest is popped first.  A prefix popped at row mid runs through the
-    table's fills of its budget, largest first, keeping those whose first
-    part is below its last, so results come out in decreasing lexicographic
-    order.  A finished result is the filled rows, each below the one above it
-    and at least its own base, then lam's untouched rows, so it is strict and
-    is not checked again.
+    The rows split at mid into an upper half, the smaller one, and a lower
+    half, which holds the fresh row unless that row is the only one.
+    _fills lists each half's fills by the nodes they take, leaving out
+    those that take fewer than the other half can make up.  The upper fills
+    are sorted once, in decreasing lexicographic order, and each one taking
+    b nodes is joined to the lower fills of ell - b nodes whose first part
+    is below its last, so results come out in decreasing lexicographic
+    order.  Every part of a result is below the one above it and at least
+    its own base, so the result is strict and is not checked again.
     """
     new = _new
     set_parts = _set_parts
-    mid = max(len(bases) - _TABLE_ROWS, 0)
-    cap = [*accumulate(reversed(gain), initial=0)][::-1]
-    # the rows above mid take at most cap[0] - cap[mid] nodes
-    table = _fills(bases[mid:], gain[mid:], ell - cap[0] + cap[mid], min(cap[mid], ell))
-    if not mid:
-        for fill in table[ell]:
-            mu = new(StrictPartition)
-            set_parts(mu, fill)
-            yield mu
-        return
-    stack = [((), ell)]
-    while stack:
-        acc, budget = stack.pop()
-        row = len(acc)
-        if row == mid:
-            last = acc[-1]
-            for fill in table[budget]:
-                if fill[0] < last:
-                    mu = new(StrictPartition)
-                    set_parts(mu, acc + fill)
-                    yield mu
-            continue
-        base = bases[row]
-        g = gain[row]
-        top = base + (g if g < budget else budget)
-        if acc and top >= acc[-1]:
-            top = acc[-1] - 1
-        # a fill below base + budget - cap[row + 1] leaves the rows below more
-        # than they can take
-        low = budget - cap[row + 1]
-        low = base + low if low > 0 else base
-        if top - base == budget:
-            mu = new(StrictPartition)
-            set_parts(mu, acc + (top,) + bases[row + 1 : -1])
-            yield mu
-            top -= 1
-        for value in range(low, top + 1):
-            stack.append((acc + (value,), budget - value + base))
+    mid = max(len(bases) // 2, 1)
+    up = sum(gain[:mid])
+    down = sum(gain[mid:])
+    upper = _fills(bases[:mid], gain[:mid], ell - down, min(up, ell))
+    lower = _fills(bases[mid:], gain[mid:], ell - up, min(down, ell))
+    # a prefix taking b nodes leaves ell - b = rest - sum(prefix)
+    rest = ell + sum(bases[:mid])
+    for prefix in sorted(chain.from_iterable(upper), reverse=True):
+        last = prefix[-1:]
+        # fill < last holds for the empty fill and for a fill whose first
+        # part is below the prefix's last
+        for fill in lower[rest - sum(prefix)]:
+            if fill < last:
+                mu = new(StrictPartition)
+                set_parts(mu, prefix + fill)
+                yield mu
 
 
 def _fills(bases, gain, least, most):
-    """table[b], for least <= b <= most, lists every fill of the rows bases
-    taking exactly b nodes, in decreasing lexicographic order; an entry
-    below least is never read, and may be left empty.
+    """table[b], for b <= most, lists every fill of the rows bases taking
+    exactly b nodes, in decreasing lexicographic order; a fill taking fewer
+    than least nodes is left out.
 
-    bases ends with the fresh row's 0, and an empty fresh row is dropped.  The
-    table is built bottom-up, one row at a time: a fill of the rows from a
-    row down is that row's part v, from its base to base + gain, then a fill
-    of the rows below whose first part is below v.  A partial fill is kept
-    only if the rows above it can still bring it to least nodes.  Taking the
-    budgets below in increasing order and v in decreasing order appends each
-    list in decreasing order.
+    The table is built bottom-up, one row at a time, from the empty fill of
+    no rows: a fill of the rows from a row down is that row's part v, from
+    its base to base + gain, then a fill of the rows below whose first part
+    is below v.  The fresh row, of base 0, may stay empty: its v = 0 adds no
+    part.  A partial fill is kept only if the rows above it can still bring
+    it to least nodes.  Taking the budgets below in increasing order and v
+    in decreasing order appends each list in decreasing order.
     """
-    least -= sum(gain) - gain[-1]
+    least -= sum(gain)
     table = [[()]] + [[] for _ in range(most)]
-    if gain[-1]:
-        table[1].append((1,))
-    for base, g in zip(bases[-2::-1], gain[-2::-1]):
+    for base, g in zip(bases[::-1], gain[::-1]):
         least += g
         above = [[] for _ in range(most + 1)]
         for b, below in enumerate(table):
             if not below:
                 continue
             for v in range(base + min(g, most - b), base + max(least - b, 0) - 1, -1):
-                head = (v,)
-                # f < (v,) holds for the empty fill and for a fill whose first
-                # part is below v
-                above[b + v - base] += [head + f for f in below if f < head]
+                bound = (v,)
+                head = bound if v else ()
+                # f < bound holds for the empty fill and for a fill whose
+                # first part is below v
+                above[b + v - base] += [head + f for f in below if f < bound]
         table = above
     return table

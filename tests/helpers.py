@@ -9,10 +9,11 @@ import functools
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm, prod
 from types import CodeType
 
 from schurmix.barquot import QuotientTriple
+from schurmix.mixed import expansion_terms, resolve_case
 from schurmix.partitions import Partition, StrictPartition
 from schurmix.polyring import Polynomial
 
@@ -302,6 +303,88 @@ def hall_norm(p):
             weight *= Fraction(2**m * factorial(m), k**m)
         total += weight
     return total
+
+
+# The specialization t_k -> x/k is a ring map from Q[t1, t2, ...] to Q[x]: it
+# sends exp(sum t_k z^k) to (1 - z)^-x and exp(sum over odd k of t_k z^k) to
+# ((1 + z)/(1 - z))^(x/2).  Each evaluator below gives w! times the value of
+# a polynomial of weight w, an integer for an integer x, memoised by shape.
+
+
+def _hooks(parts):
+    """Product of the hook lengths of a partition."""
+    cols = [sum(p > j for p in parts) for j in range(parts[0] if parts else 0)]
+    return prod(p - j + cols[j] - r - 1 for r, p in enumerate(parts) for j in range(p))
+
+
+def _contents(parts, x, step):
+    """Product over the boxes of x + step * content, content = column - row."""
+    return prod(x + step * (j - r) for r, p in enumerate(parts) for j in range(p))
+
+
+@functools.cache
+def s_value(parts, x):
+    """|lam|! S_lam at t_k = x/k, where S_lam is the product over its boxes
+    of (x + c)/h, c the content and h the hook (Macdonald I.3 Ex. 4)."""
+    return factorial(sum(parts)) // _hooks(parts) * _contents(parts, x, 1)
+
+
+@functools.cache
+def s2_value(parts, x):
+    """(2|b|)! S_b(t2) at t_k = x/k, where S_b(t2) is S_b at t_k = (x/2)/k,
+    the product over the boxes of (x + 2c)/(2h)."""
+    w = sum(parts)
+    return factorial(2 * w) // (2**w * _hooks(parts)) * _contents(parts, x, 2)
+
+
+@functools.cache
+def _q_value(n, x):
+    """n! q_n at t_k = x/k, from n q_n = x * sum over even j of q_(n-1-j):
+    the derivative of ((1 + z)/(1 - z))^(x/2) is x/(1 - z^2) times itself."""
+    if not n:
+        return 1
+    return x * sum(perm(n - 1, j) * _q_value(n - 1 - j, x) for j in range(0, n, 2))
+
+
+def _pair_value(r, s, x):
+    """(r + s)! q_(r,s) at t_k = x/k, with
+    q_(r,s) = q_r q_s + 2 * sum over 0 < i <= s of (-1)^i q_(r+i) q_(s-i)."""
+    return sum(
+        (2 * (-1) ** i if i else 1) * comb(r + s, s - i) * _q_value(r + i, x) * _q_value(s - i, x)
+        for i in range(s + 1)
+    )
+
+
+@functools.cache
+def q_value(parts, x):
+    """|a|! Q_a at t_k = x/k: the Pfaffian of the pairs q_(a_i, a_j) of a,
+    zero-padded to even length, expanded along its first row."""
+    if not parts:
+        return 1
+    head, *rest = parts if len(parts) % 2 == 0 else parts + (0,)
+    w = sum(parts)
+    return sum(
+        (-1) ** k
+        * comb(w, head + b)
+        * _pair_value(head, b, x)
+        * q_value(tuple(p for p in rest if p and p != b), x)
+        for k, b in enumerate(rest)
+    )
+
+
+def specialized_sides(case, m, n, x):
+    """Both sides of the identity for (case, m, n) at t_k = x/k, each times
+    the rectangle's weight w factorial, and the number of summands.  A
+    summand sign * Q_q0 * S_q1(t2) has |q0| + 2|q1| = w, so its share of w!
+    is binom(w, |q0|) times its two scaled factors."""
+    rows, cols = resolve_case(case, m, n)[2]
+    w = rows * cols
+    terms = expansion_terms(case, m, n)
+    left = sum(
+        t.sign * comb(w, t.q0.weight) * q_value(t.q0.parts, x) * s2_value(t.q1.parts, x)
+        for t in terms
+    )
+    return left, s_value((cols,) * rows, x), len(terms)
 
 
 # Ordinary-basis reference arithmetic: plain {monomial: Fraction} dicts, built

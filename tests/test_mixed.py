@@ -11,7 +11,7 @@ from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial, shift2
 from schurmix.schur import rect_schur, schur_s
 
-from helpers import homogeneous_degree
+from helpers import homogeneous_degree, specialized_sides
 
 
 def term_triples(terms):
@@ -202,6 +202,28 @@ def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
                 assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
                 checks += 1
                 summands += len(terms)
+    assert (checks, summands) == (136, 29488)
+
+
+def test_identity_under_the_specialization_p_k_equals_x():
+    # t_k -> x/k sends S_lam to its content product, S_b(t2) to b's content
+    # product at x/2 and Q_a to the Pfaffian of its pairs' values, so each
+    # check is one equation between integers, both sides times the
+    # rectangle weight's factorial.  x is large enough that no factor x + c
+    # or x + 2c vanishes.  No polynomial is built, so this reaches m = 8; a
+    # specialization is a necessary condition, not the identity.  The totals
+    # pin the set
+    checks = summands = 0
+    for i, case in enumerate(CASES):
+        for m in range(9):
+            for n in range(2 * m + 2 - i):
+                rows, cols = resolve_case(case, m, n)[2]
+                if not rows * cols:
+                    continue
+                left, right, count = specialized_sides(case, m, n, 2000006)
+                assert left == right, (case, m, n)
+                checks += 1
+                summands += count
     assert (checks, summands) == (136, 29488)
 
 

@@ -248,14 +248,28 @@ def test_add_set_matches_closure_on_random_partitions(parts, i, data):
 
 
 def test_add_set_matches_closure_across_the_table_boundary():
-    # add_set fills the last rows from a table and searches the rows above
-    # them; with 7 parts or more, and gaps of 1 or 2, a prefix's last part
-    # can be at or below a table fill's first part, which must be skipped
-    for parts in (
+    # add_set splits lam's rows and the fresh row at mid = max(rows // 2, 1)
+    # and joins each fill of the upper half to the fills of the lower half
+    # whose first part is below its last.  For each length, the two parts
+    # beside mid differ by 1 and then by 2, the fresh row's 0 counting as a
+    # part, so a lower fill's first part can reach or pass the upper fill's
+    # last, and that join must be skipped; the upper fills must also be
+    # walked in decreasing order across their budgets
+    shapes = [()]
+    for length in range(1, 11):
+        mid = max((length + 1) // 2, 1)
+        for gap in (1, 2):
+            # gaps[j] = parts[j] - parts[j + 1], the fresh row's 0 below the
+            # last part: 2 and 1 in turn, but gap at mid
+            gaps = [2 - j % 2 for j in range(length)]
+            gaps[mid - 1] = gap
+            shapes.append(tuple(sum(gaps[j:]) for j in range(length)))
+    assert len(shapes) == 21
+    for parts in shapes + [
         (10, 9, 8, 7, 5, 4, 2, 1),
         (9, 8, 7, 6, 5, 4, 3),
         (13, 11, 10, 8, 7, 6, 4, 3, 2, 1),
-    ):
+    ]:
         for i in (0, 1):
             for ell in range(7):
                 got = [mu.parts for mu in add_set(StrictPartition(parts), i, ell)]
@@ -290,17 +304,21 @@ def test_add_set_past_its_bound_returns_without_searching(monkeypatch):
 
 
 def test_add_set_near_the_top_of_the_window_cannot_hang():
-    # Without pruning by what the rows below can still take, core 14 at the
-    # top of its window visits about 3^14 partial rows; with it each call
-    # below runs under 5000 lines of the search.
-    # At the top every row takes two nodes; one below it, one row takes one
-    # node fewer, or (color 0) the new row of length 1 stays empty.  The
-    # budget counts the search and the table it fills the last rows from.
+    # Without pruning by what the rows above can still bring, core 30 at the
+    # top of its window lists every fill of each half, about 3^15 partial
+    # rows.  At the top every row takes two nodes; one below it, one row
+    # takes one node fewer, or (color 0) the new row of length 1 stays
+    # empty.  The budget counts the join and the table it fills both halves
+    # from.
     for core_index, i, ell, count in (
         (14, 1, 28, 1),
         (14, 1, 27, 14),
         (-14, 0, 29, 1),
         (-14, 0, 28, 15),
+        (30, 1, 60, 1),
+        (30, 1, 59, 30),
+        (-30, 0, 61, 1),
+        (-30, 0, 60, 31),
     ):
         core = bar_core(core_index)
         with line_budget(10**5, partitions._grow.__code__, partitions._fills.__code__):

@@ -7,7 +7,7 @@ import pytest
 
 from schurmix import polyring, schur
 from schurmix.partitions import Partition, StrictPartition
-from schurmix.polyring import Polynomial, determinant, omega, pfaffian
+from schurmix.polyring import Polynomial, determinant, omega, pfaffian, shift2
 from schurmix.schur import (
     complete_h,
     q_fun,
@@ -25,8 +25,11 @@ from helpers import (
     homogeneous_degree,
     partitions_of,
     power_sum_assignment,
+    q_value,
     ref_mul,
     ref_newton,
+    s2_value,
+    s_value,
     strict_partitions_of,
 )
 
@@ -383,6 +386,26 @@ def test_schur_q_matches_marked_shifted_tableaux():
                 assert q.eval(point) == classical_q_value(parts, xs), (parts, xs)
             cases += 1
     assert cases == 1 + 1 + 1 + 2 + 2 + 3 + 4
+
+
+def test_specialized_values_match_the_built_polynomials():
+    # helpers' evaluators at t_k = x/k, each w! times the value of a weight-w
+    # polynomial, against Polynomial.eval of the built S, S(t2) and Q on
+    # every shape of weight 12 or less
+    shapes = strict_shapes = 0
+    for x in (13, 2000006):
+        point = {k: Fraction(x, k) for k in range(1, 25)}
+        for weight in range(13):
+            for parts in partitions_of(weight):
+                s = schur_s(Partition(parts))
+                assert s.eval(point) * factorial(weight) == s_value(parts, x), (parts, x)
+                assert shift2(s).eval(point) * factorial(2 * weight) == s2_value(parts, x), (parts, x)
+                shapes += 1
+            for parts in strict_partitions_of(weight):
+                q = schur_q(StrictPartition(parts))
+                assert q.eval(point) * factorial(weight) == q_value(parts, x), (parts, x)
+                strict_shapes += 1
+    assert (shapes, strict_shapes) == (2 * 272, 2 * 70)
 
 
 def test_rect_schur_degenerate_edges():
