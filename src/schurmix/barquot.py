@@ -6,11 +6,12 @@ the parts congruent to 1 and 3 mod 4.  The map is a bijection; see
 :func:`quotient` and :func:`inverse_quotient`.
 
 Both directions take checked partitions only: a StrictPartition to split, a
-StrictPartition and a Partition to join (TypeError otherwise), as does
-:func:`delta_sign`.  The partitions they return are built from those checked
-parts, are valid by construction and are not checked again; each is built by
-``object.__new__`` and the slot setter, and the triple by ``tuple.__new__``,
-with no constructor running Python code.
+StrictPartition and a Partition to join (TypeError otherwise); :func:`abacus`
+and :func:`delta_sign` take a StrictPartition too.  The partitions the two
+directions return are built from those checked parts, are valid by
+construction and are not checked again; each is built by ``object.__new__``
+and the slot setter, and the triple by ``tuple.__new__``, with no constructor
+running Python code.
 """
 
 from __future__ import annotations
@@ -137,6 +138,8 @@ def abacus(lam, core_index):
     residue: even positions are on the left runner, positions 1 mod 4 on the
     central runner and positions 3 mod 4 on the right runner.
     """
+    if not isinstance(lam, StrictPartition):
+        raise TypeError(f"abacus: lam must be a StrictPartition, got {lam!r}")
     core_index = index(core_index)
     beads = frozenset(lam.parts)
     if core_index < 0 and len(lam.parts) == -core_index:

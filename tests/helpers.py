@@ -1,21 +1,26 @@
-"""Shared test utilities: enumeration, random generators, independent oracles.
+"""Shared test utilities: enumeration, random generators, independent oracles,
+and the checks that tier-1 tests and CI steps run at their own bounds.
 
-The CI steps import the enumerators and oracles from here too, so hypothesis
-is imported only by the two strategies that need it: a step's RSS bound then
-measures the library, not the test framework.
+The CI steps import from here too, so hypothesis is imported only by the two
+strategies that need it: a step's RSS bound then measures the library, not
+the test framework.
 """
 
 import functools
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, perm, prod
+from operator import itemgetter
 from types import CodeType
 
+from schurmix import schur
 from schurmix.barquot import QuotientTriple
 from schurmix.mixed import expansion_terms, resolve_case
-from schurmix.partitions import Partition, StrictPartition
-from schurmix.polyring import Polynomial
+from schurmix.partitions import CASES, Partition, StrictPartition
+from schurmix.polyring import Polynomial, determinant
+from schurmix.schur import complete_h, rect_schur, schur_s
 
 
 def partitions_of(n, max_part=None):
@@ -372,19 +377,140 @@ def q_value(parts, x):
     )
 
 
-def specialized_sides(case, m, n, x):
-    """Both sides of the identity for (case, m, n) at t_k = x/k, each times
-    the rectangle's weight w factorial, and the number of summands.  A
-    summand sign * Q_q0 * S_q1(t2) has |q0| + 2|q1| = w, so its share of w!
-    is binom(w, |q0|) times its two scaled factors."""
-    rows, cols = resolve_case(case, m, n)[2]
-    w = rows * cols
-    terms = expansion_terms(case, m, n)
-    left = sum(
-        t.sign * comb(w, t.q0.weight) * q_value(t.q0.parts, x) * s2_value(t.q1.parts, x)
-        for t in terms
-    )
-    return left, s_value((cols,) * rows, x), len(terms)
+# Checks at a bound.  Each asserts at every point it walks and returns the
+# totals it pins, so a shrunken walk cannot pass.  The tier-1 tests call them
+# at small bounds and the CI steps at larger ones.
+
+
+def case_grid(max_m):
+    """(case, m, n, rows, cols) for each case, each m <= max_m and each n
+    from 0 to top = 2m + 1 - color, rows x cols being the rectangle."""
+    for i, case in enumerate(CASES):
+        for m in range(max_m + 1):
+            for n in range(2 * m + 2 - i):
+                yield case, m, n, *resolve_case(case, m, n)[2]
+
+
+def summand_facts(max_m):
+    """Omega duality and the sign facts on case_grid(max_m), from
+    expansion_terms alone; returns (checks, summands, summands with q0 = ()).
+
+    Omega fixes Q(t_odd), maps S_b(t2) to (-1)^|b| S_b'(t2) and the rectangle
+    for n to the one for top - n, so by linear independence the summands
+    correspond with the same q0, a conjugate q1 and the sign times
+    (-1)^|q1|.  With the Hall product, the coordinate of S_rect at Q_a is
+    <s_rect, P_a> >= 0, so exactly one summand has q1 = (), with sign +1.
+    The summands with q0 = () are the b with <s_rect, s_b[p_2]> != 0: one
+    sign, and each b once, since the rectangle's 2-quotient is two
+    rectangles whose Schur product is multiplicity-free.
+    """
+    checks = summands = without_q0 = 0
+    for (case, m), grid in groupby(case_grid(max_m), itemgetter(0, 1)):
+        sets = [expansion_terms(case, m, n) for _, _, n, _, _ in grid]
+        for n, terms in enumerate(sets):
+            assert terms, (case, m, n)
+            # sets[-1 - n] is the set of top - n
+            dual = sorted(
+                (t.q0.parts, t.q1.conjugate().parts, (-1) ** t.q1.weight * t.sign)
+                for t in sets[-1 - n]
+            )
+            assert sorted((t.q0.parts, t.q1.parts, t.sign) for t in terms) == dual, (case, m, n)
+            assert [t.sign for t in terms if not t.q1] == [1], (case, m, n)
+            pure = [t for t in terms if not t.q0]
+            assert len({t.sign for t in pure}) <= 1, (case, m, n)
+            assert len({t.q1 for t in pure}) == len(pure), (case, m, n)
+            checks += 1
+            summands += len(terms)
+            without_q0 += len(pure)
+    return checks, summands, without_q0
+
+
+def addition_set_counts(max_m):
+    """Parseval on each nonempty rectangle of case_grid(max_m), from
+    expansion_terms alone; returns (checks, summands).
+
+    Under (f, g)' = <f, g at t -> 2t> the products Q_a S_b(t2) are orthogonal
+    with norm 2^len(a), and (S_rect, S_rect)' is binom(rows + cols, rows).
+    So distinct pairs (q0, q1) whose 2^len(q0) add up to that binomial leave
+    no room for any other coordinate.
+    """
+    checks = summands = 0
+    for case, m, n, rows, cols in case_grid(max_m):
+        if not rows * cols:
+            continue
+        terms = expansion_terms(case, m, n)
+        assert len({(t.q0, t.q1) for t in terms}) == len(terms), (case, m, n)
+        assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
+        checks += 1
+        summands += len(terms)
+    return checks, summands
+
+
+def specialization_checks(max_m, x):
+    """The identity at t_k = x/k on each nonempty rectangle of
+    case_grid(max_m); returns (checks, summands).
+
+    Both sides are taken times w!, w the rectangle's weight, so each check
+    is one equation between integers and builds no polynomial.  A summand
+    sign * Q_q0 * S_q1(t2) has |q0| + 2|q1| = w, so its share of w! is
+    binom(w, |q0|) times its two scaled factors.  x must be large enough
+    that no factor x + c or x + 2c vanishes.  A specialization is a
+    necessary condition, not the identity.
+    """
+    checks = summands = 0
+    for case, m, n, rows, cols in case_grid(max_m):
+        w = rows * cols
+        if not w:
+            continue
+        terms = expansion_terms(case, m, n)
+        left = sum(
+            t.sign * comb(w, t.q0.weight) * q_value(t.q0.parts, x) * s2_value(t.q1.parts, x)
+            for t in terms
+        )
+        assert left == s_value((cols,) * rows, x), (case, m, n)
+        checks += 1
+        summands += len(terms)
+    return checks, summands
+
+
+def tall_shapes(max_weight):
+    """schur_s of each shape of weight max_weight or less with more rows
+    than columns, from a cleared h_minor, against the h matrix
+    h_(lam_i + j - i) of its own orientation; returns the number of shapes.
+    schur_s builds such a shape from its conjugate and omega; the h matrix
+    uses neither map."""
+    schur.h_minor.cache_clear()
+    shapes = 0
+    for weight in range(max_weight + 1):
+        for parts in partitions_of(weight):
+            n = len(parts)
+            if not parts or parts[0] >= n:
+                continue
+            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
+            assert schur_s(Partition(parts)) == determinant(mat), parts
+            shapes += 1
+    return shapes
+
+
+def rectangle_norms(max_weight):
+    """The norm and the value at t_k = x/k of rect_schur(a, b) for each
+    rectangle of weight max_weight or less; returns the number of them.
+
+    (S_rect, S_rect)' is the sum of the squared Littlewood-Richardson
+    coefficients of the rectangle, each 1 for a shape inside it and its
+    complement, so it equals binom(a + b, a).  At t_k = x/k the rectangle is
+    its content product, s_value; this x makes no factor x + c vanish.
+    """
+    x = 2000006
+    point = {k: Fraction(x, k) for k in range(1, max_weight + 1)}
+    shapes = 0
+    for a in range(1, max_weight + 1):
+        for b in range(1, max_weight // a + 1):
+            rect = rect_schur(a, b)
+            assert hall_norm(rect) == comb(a + b, a), (a, b)
+            assert rect.eval(point) * factorial(a * b) == s_value((b,) * a, x), (a, b)
+            shapes += 1
+    return shapes
 
 
 # Ordinary-basis reference arithmetic: plain {monomial: Fraction} dicts, built

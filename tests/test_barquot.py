@@ -252,6 +252,14 @@ def test_core_index_must_be_an_int():
             abacus(lam, bad)
 
 
+def test_abacus_refuses_unchecked_input():
+    # a Partition's repeated parts would merge into one bead
+    with pytest.raises(TypeError, match="abacus: lam must be a StrictPartition"):
+        abacus(Partition((3, 3, 1)), 0)
+    with pytest.raises(TypeError, match="abacus: lam must be a StrictPartition"):
+        abacus((3, 1), 0)
+
+
 def test_abacus_runner_assignment():
     # even positions on the left runner, 1 mod 4 central, 3 mod 4 right
     for parts, core_index, columns in (

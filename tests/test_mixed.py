@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -11,7 +10,13 @@ from schurmix.partitions import CASES, Partition, add_set, bar_core
 from schurmix.polyring import Polynomial, shift2
 from schurmix.schur import rect_schur, schur_s
 
-from helpers import homogeneous_degree, specialized_sides
+from helpers import (
+    addition_set_counts,
+    case_grid,
+    homogeneous_degree,
+    specialization_checks,
+    summand_facts,
+)
 
 
 def term_triples(terms):
@@ -103,17 +108,10 @@ def test_term_count_matches_add_set():
 
 
 def test_terms_are_homogeneous_of_rectangle_weight():
-    for case in CASES:
-        for m in range(4):
-            for n in range(2 * m + 4):
-                rows, cols = resolve_case(case, m, n)[2]
-                area = rows * cols
-                terms = expansion_terms(case, m, n)
-                for t in terms:
-                    if area:
-                        assert homogeneous_degree(t.value) == area
-                    else:
-                        assert homogeneous_degree(t.value) == 0
+    # past n = top the addition set is empty, so case_grid covers every term
+    for case, m, n, rows, cols in case_grid(3):
+        for t in expansion_terms(case, m, n):
+            assert homogeneous_degree(t.value) == rows * cols
 
 
 def test_total_is_the_sum_of_the_term_values():
@@ -145,86 +143,22 @@ def test_lhs_shifts_once_per_distinct_q(monkeypatch):
 
 
 def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
-    # omega fixes Q(t_odd), maps S_b(t2) to (-1)^|b| S_b'(t2) and the rectangle
-    # for n to the one for top - n.  The products Q * S(t2) are linearly
-    # independent, so the summands correspond with the same q0, a conjugate
-    # q1 and the sign times (-1)^|q1|.  No polynomial is built, so this
-    # reaches rectangles beyond the weight the sweep can afford.
-    def dual(t):
-        return t.q0.parts, t.q1.conjugate().parts, (-1) ** t.q1.weight * t.sign
-
-    for i, case in enumerate(CASES):
-        for m in range(9):
-            top = 2 * m + 1 - i
-            sets = [expansion_terms(case, m, n) for n in range(top + 1)]
-            for n in range(top + 1):
-                assert sets[n], (case, m, n)
-                here = sorted((t.q0.parts, t.q1.parts, t.sign) for t in sets[n])
-                assert here == sorted(map(dual, sets[top - n])), (case, m, n)
+    # no polynomial is built, so this reaches rectangles beyond the weight
+    # the sweep can afford
+    assert summand_facts(8) == (171, 29523, 1533)
 
 
 def test_sign_facts_of_the_summands_without_q1_or_q0():
-    # With the Hall product, the coordinate of S_rect at Q_a is
-    # <s_rect, P_a> >= 0, so a summand with q1 = () has sign +1; each check
-    # has exactly one.  The summands with q0 = () are the b with
-    # <s_rect, s_b[p_2]> != 0: one sign, the 2-sign of the rectangle, and
-    # each b once, since the rectangle's 2-quotient is two rectangles whose
-    # Schur product is multiplicity-free.  No polynomial is built.
-    summands = without_q0 = 0
-    for i, case in enumerate(CASES):
-        for m in range(9):
-            for n in range(2 * m + 2 - i):
-                terms = expansion_terms(case, m, n)
-                assert [t.sign for t in terms if not t.q1] == [1], (case, m, n)
-                pure = [t for t in terms if not t.q0]
-                assert len({t.sign for t in pure}) <= 1, (case, m, n)
-                assert len({t.q1 for t in pure}) == len(pure), (case, m, n)
-                summands += len(terms)
-                without_q0 += len(pure)
-    assert (summands, without_q0) == (29523, 1533)
+    assert summand_facts(8) == (171, 29523, 1533)
 
 
 def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
-    # Under (f, g)' = <f, g at t -> 2t> the products Q_a S_b(t2) are
-    # orthogonal with norm 2^len(a), and (S_rect, S_rect)' is
-    # binom(rows + cols, rows).  So distinct pairs (q0, q1) whose 2^len(q0)
-    # add up to that binomial leave no room for any other coordinate.  Read
-    # from expansion_terms alone, no polynomial built; the totals pin the set
-    checks = summands = 0
-    for i, case in enumerate(CASES):
-        for m in range(9):
-            for n in range(2 * m + 2 - i):
-                rows, cols = resolve_case(case, m, n)[2]
-                if not rows * cols:
-                    continue
-                terms = expansion_terms(case, m, n)
-                assert len({(t.q0, t.q1) for t in terms}) == len(terms), (case, m, n)
-                assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
-                checks += 1
-                summands += len(terms)
-    assert (checks, summands) == (136, 29488)
+    assert addition_set_counts(8) == (136, 29488)
 
 
 def test_identity_under_the_specialization_p_k_equals_x():
-    # t_k -> x/k sends S_lam to its content product, S_b(t2) to b's content
-    # product at x/2 and Q_a to the Pfaffian of its pairs' values, so each
-    # check is one equation between integers, both sides times the
-    # rectangle weight's factorial.  x is large enough that no factor x + c
-    # or x + 2c vanishes.  No polynomial is built, so this reaches m = 8; a
-    # specialization is a necessary condition, not the identity.  The totals
-    # pin the set
-    checks = summands = 0
-    for i, case in enumerate(CASES):
-        for m in range(9):
-            for n in range(2 * m + 2 - i):
-                rows, cols = resolve_case(case, m, n)[2]
-                if not rows * cols:
-                    continue
-                left, right, count = specialized_sides(case, m, n, 2000006)
-                assert left == right, (case, m, n)
-                checks += 1
-                summands += count
-    assert (checks, summands) == (136, 29488)
+    # x = 2000006 is large enough that no factor x + c or x + 2c vanishes
+    assert specialization_checks(8, 2000006) == (136, 29488)
 
 
 def test_sweep_small_cores():

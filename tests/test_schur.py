@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 import pytest
 
@@ -21,16 +21,17 @@ from helpers import (
     character,
     classical_q_value,
     classical_schur_value,
-    hall_norm,
     homogeneous_degree,
     partitions_of,
     power_sum_assignment,
     q_value,
+    rectangle_norms,
     ref_mul,
     ref_newton,
     s2_value,
     s_value,
     strict_partitions_of,
+    tall_shapes,
 )
 
 
@@ -253,20 +254,7 @@ def test_schur_s_matches_plain_jacobi_trudi():
 
 
 def test_tall_shapes_match_their_own_h_determinant():
-    # schur_s builds a shape with more rows than columns from its conjugate
-    # and omega; here each is held to the h matrix h_(lam_i + j - i) of its
-    # own orientation, which uses neither map
-    schur.h_minor.cache_clear()
-    cases = 0
-    for weight in range(13):
-        for parts in partitions_of(weight):
-            n = len(parts)
-            if not parts or parts[0] >= n:
-                continue
-            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
-            assert schur_s(Partition(parts)) == determinant(mat), parts
-            cases += 1
-    assert cases == 120
+    assert tall_shapes(12) == 120
 
 
 def test_shared_minors_match_each_shapes_own_determinant():
@@ -419,13 +407,7 @@ def test_rect_schur_degenerate_edges():
 
 
 def test_rectangle_norm_counts_the_shapes_inside():
-    # (S_rect, S_rect)' is the sum of the squared Littlewood-Richardson
-    # coefficients of the rectangle, each 1 for a shape inside it and its
-    # complement, so it equals binom(rows + cols, rows)
-    shapes = [(a, b) for a in range(1, 21) for b in range(1, 20 // a + 1)]
-    assert len(shapes) == 66
-    for a, b in shapes:
-        assert hall_norm(rect_schur(a, b)) == comb(a + b, a), (a, b)
+    assert rectangle_norms(20) == 66
 
 
 def test_schur_s_matches_classical_at_a_point():
