@@ -16,9 +16,9 @@ from operator import itemgetter
 from types import CodeType
 
 from schurmix import schur
-from schurmix.barquot import QuotientTriple
+from schurmix.barquot import QuotientTriple, abacus, delta_sign, inverse_quotient, quotient
 from schurmix.mixed import expansion_terms, resolve_case
-from schurmix.partitions import CASES, Partition, StrictPartition
+from schurmix.partitions import CASES, Partition, StrictPartition, add_set, bar_core
 from schurmix.polyring import Polynomial, determinant
 from schurmix.schur import complete_h, rect_schur, schur_s
 
@@ -473,6 +473,49 @@ def specialization_checks(max_m, x):
     return checks, summands
 
 
+def addition_set_grid(max_core):
+    """(core_index, color, ell) for each core index in -max_core..max_core,
+    each color its family admits and each ell from 0 to 2 * max_core + 1;
+    at 10 these are exactly the addition sets that enumerate admits."""
+    for core_index in range(-max_core, max_core + 1):
+        for color in (0, 1) if core_index == 0 else (int(core_index > 0),):
+            for ell in range(2 * max_core + 2):
+                yield core_index, color, ell
+
+
+def addition_set_walk(max_core):
+    """The bijection's checks on each addition set of
+    addition_set_grid(max_core); returns (nonempty sets, partitions,
+    partitions with a bead on 0, sorted charges).
+
+    add_set, quotient and inverse_quotient build their results without a
+    check, so each set must come in decreasing order and each result, its
+    q0 and q1 and the inverse's result must pass the checking constructor.
+    The quotient is held to the Maya scan, built another way, since a round
+    trip cannot see an error that quotient and inverse_quotient share; the
+    sign is held to the bead pairs on the abacus.
+    """
+    sets = count = zero_bead = 0
+    charges = set()
+    for core_index, color, ell in addition_set_grid(max_core):
+        mus = list(add_set(bar_core(core_index), color, ell))
+        assert all(a.parts > b.parts for a, b in zip(mus, mus[1:])), (core_index, color, ell)
+        for mu in mus:
+            tri = quotient(mu)
+            back = inverse_quotient(*tri)
+            assert type(mu) is StrictPartition, mu
+            for x in (mu, tri.q0, tri.q1, back):
+                assert_checks_pass(x)
+            assert tri == quotient_by_maya(mu), mu
+            assert back == mu, mu
+            assert delta_sign(mu, core_index) == bead_pair_sign(mu, core_index), (mu, core_index)
+            zero_bead += core_index < 0 and len(mu) == -core_index
+            charges.add(tri.charge)
+        sets += bool(mus)
+        count += len(mus)
+    return sets, count, zero_bead, sorted(charges)
+
+
 def tall_shapes(max_weight):
     """schur_s of each shape of weight max_weight or less with more rows
     than columns, from a cleared h_minor, against the h matrix
@@ -662,6 +705,20 @@ def inverse_by_maya(charge, q0, q1):
     parts += [4 * e + 1 for e in entries if e >= 0]
     parts += [-4 * j - 1 for j in range(-1, charge - last, -1) if j not in entries]
     return StrictPartition(sorted(parts, reverse=True))
+
+
+def assert_checks_pass(x):
+    """x, built without a check, holds a tuple that the checking constructor accepts."""
+    assert type(x.parts) is tuple, x
+    assert type(x)(x.parts) == x
+
+
+def bead_pair_sign(lam, core_index):
+    """-1 to the number of (central, left) bead pairs, central above, on the abacus."""
+    beads = abacus(lam, core_index)
+    central = [b for b in beads if b % 4 == 1]
+    lefts = [b for b in beads if b % 2 == 0]
+    return (-1) ** sum(1 for c in central for left in lefts if c > left)
 
 
 def _with_nested(code):

@@ -13,33 +13,20 @@ from schurmix.barquot import (
     render_abacus,
 )
 from schurmix.fock import lemma_co_sides
-from schurmix.partitions import Partition, StrictPartition, add_set, bar_core
+from schurmix.partitions import Partition, StrictPartition, bar_core
 
 from helpers import (
+    addition_set_grid,
+    addition_set_walk,
+    assert_checks_pass,
+    bead_pair_sign,
     inverse_by_maya,
     partitions_of,
     quotient_by_maya,
     random_strict_parts,
-    random_weak_parts,
     strict_partitions_of,
     strict_parts,
 )
-
-
-def addition_set_results():
-    """(mu, core index) for every add_set result of the cores -7..7 at every ell."""
-    for core_index in range(-7, 8):
-        core = bar_core(core_index)
-        for i in (0, 1) if core_index == 0 else (int(core_index > 0),):
-            for ell in range(2 * len(core) + 2):
-                for mu in add_set(core, i, ell):
-                    yield mu, core_index
-
-
-def assert_checks_pass(x):
-    """x, built without a check, holds a tuple that the checking constructor accepts."""
-    assert type(x.parts) is tuple, x
-    assert type(x)(x.parts) == x
 
 
 def assert_bijection_builds_checked(mu):
@@ -47,14 +34,6 @@ def assert_bijection_builds_checked(mu):
     assert_checks_pass(tri.q0)
     assert_checks_pass(tri.q1)
     assert_checks_pass(inverse_quotient(tri.charge, tri.q0, tri.q1))
-
-
-def bead_pair_sign(lam, core_index):
-    """-1 to the number of (central, left) bead pairs, central above, on the abacus."""
-    beads = abacus(lam, core_index)
-    central = [b for b in beads if b % 4 == 1]
-    lefts = [b for b in beads if b % 2 == 0]
-    return (-1) ** sum(1 for c in central for left in lefts if c > left)
 
 
 def runner_columns(text):
@@ -68,13 +47,6 @@ def runner_columns(text):
             if cell.startswith("["):
                 columns[int(cell[1:-1])] = col
     return columns
-
-
-def test_quotient_worked_example():
-    tri = quotient(StrictPartition((11, 9, 6, 2, 1)))
-    assert tri.charge == 1
-    assert tri.q0.parts == (3, 1)
-    assert tri.q1.parts == (2, 1, 1, 1)
 
 
 def test_quotient_of_cores_is_trivial():
@@ -107,16 +79,6 @@ def test_inverse_of_trivial_data_gives_cores():
         assert inverse_quotient(m, StrictPartition(), Partition()) == bar_core(m)
 
 
-def test_quotient_matches_maya_scan_on_addition_sets():
-    # The round trips cannot see an error that quotient and inverse_quotient
-    # share; the Maya scan is built another way.
-    count = 0
-    for mu, _ in addition_set_results():
-        assert quotient(mu) == quotient_by_maya(mu), mu
-        count += 1
-    assert count == 9840
-
-
 @settings(max_examples=300, deadline=None)
 @given(strict_parts(max_part=40, max_len=9))
 def test_quotient_matches_maya_scan_property(parts):
@@ -133,38 +95,14 @@ def test_quotient_round_trip_property(parts):
     assert_bijection_builds_checked(mu)
 
 
-def test_round_trip_random():
-    rng = random.Random(411)
-    for _ in range(200):
-        parts = random_strict_parts(rng)
-        lam = StrictPartition(parts)
-        tri = quotient(lam)
-        assert inverse_quotient(tri.charge, tri.q0, tri.q1) == lam
-    for _ in range(200):
-        charge = rng.randint(-5, 5)
-        q0 = StrictPartition(random_strict_parts(rng, max_weight=20, max_part=8, max_len=4))
-        q1 = Partition(random_weak_parts(rng))
-        lam = inverse_quotient(charge, q0, q1)
-        tri = quotient(lam)
-        assert (tri.charge, tri.q0, tri.q1) == (charge, q0, q1)
-
-
 def test_everything_built_unchecked_passes_the_checks():
-    count = 0
-    for mu, _ in addition_set_results():
-        assert type(mu) is StrictPartition
-        assert_checks_pass(mu)
-        assert_bijection_builds_checked(mu)
-        count += 1
-    assert count == 9840
-    for core_index in range(-7, 8):
-        core = bar_core(core_index)
-        for i in (0, 1) if core_index == 0 else (int(core_index > 0),):
-            for ell in range(2 * len(core) + 2):
-                for side in lemma_co_sides(i, core_index, ell):
-                    for lam in side:
-                        assert type(lam) is StrictPartition
-                        assert_checks_pass(lam)
+    # the walk CI runs at 10: order, checks, Maya scan, round trip and sign
+    assert addition_set_walk(7) == (136, 9840, 3279, list(range(-7, 9)))
+    for core_index, i, ell in addition_set_grid(7):
+        for side in lemma_co_sides(i, core_index, ell):
+            for lam in side:
+                assert type(lam) is StrictPartition
+                assert_checks_pass(lam)
 
 
 def test_inverse_quotient_window_edges():
@@ -301,15 +239,6 @@ def test_delta_sign_counts_bead_pairs():
         lam = StrictPartition(random_strict_parts(rng, max_weight=40))
         core_index = rng.randint(-6, 6)
         assert delta_sign(lam, core_index) == bead_pair_sign(lam, core_index)
-
-
-def test_delta_sign_matches_bead_pairs_on_addition_sets():
-    count = zero_bead = 0
-    for mu, core_index in addition_set_results():
-        assert delta_sign(mu, core_index) == bead_pair_sign(mu, core_index), (mu, core_index)
-        count += 1
-        zero_bead += core_index < 0 and len(mu) == -core_index
-    assert count == 9840 and 0 < zero_bead < count
 
 
 def test_delta_sign_counts_the_zero_bead():

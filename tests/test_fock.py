@@ -13,7 +13,7 @@ from schurmix.fock import (
 )
 from schurmix.partitions import StrictPartition, add_set, bar_core
 
-from helpers import line_budget
+from helpers import addition_set_grid, line_budget
 
 SQRT2 = Sqrt2Power(Fraction(1), 1)
 
@@ -151,12 +151,6 @@ def test_a_count_includes_zero_pad():
     assert a_count(state(4)) == 2
 
 
-def test_lemma_fixture_cases():
-    for args in ((0, -2, 1), (1, 0, 0), (1, 3, 3)):
-        left, right = lemma_co_sides(*args)
-        assert left == right, args
-
-
 def test_lemma_sides_shape():
     left, right = lemma_co_sides(0, -2, 1)
     assert left == right
@@ -194,27 +188,10 @@ def test_lemma_sign_compatibility():
 
 
 def test_coefficient_shape_is_positive_sqrt2_power():
-    for i, sign in ((1, 1), (0, -1)):
-        for m in range(3):
-            core_index = sign * m
-            if i == 1 and core_index < 0:
-                continue
-            window = 2 * m + (1 if i == 0 else 0)
-            for ell in range(window + 1):
-                left, _ = lemma_co_sides(i, core_index, ell)
-                for coeff in left.values():
-                    assert coeff.c > 0 and coeff.e == ell % 2
-
-
-def test_support_equals_add_set():
-    for i, sign in ((1, 1), (0, -1)):
-        for m in range(3):
-            core_index = sign * m
-            window = 2 * m + (1 if i == 0 else 0)
-            for ell in range(window + 2):
-                left, _ = lemma_co_sides(i, core_index, ell)
-                expected = {mu.parts for mu in add_set(bar_core(core_index), i, ell)}
-                assert {lam.parts for lam in left} == expected
+    for core_index, i, ell in addition_set_grid(2):
+        left, _ = lemma_co_sides(i, core_index, ell)
+        for coeff in left.values():
+            assert coeff.c > 0 and coeff.e == ell % 2
 
 
 def test_path_counts_match_f_chev_oracle():

@@ -6,7 +6,7 @@ import pytest
 from schurmix import mixed
 from schurmix.fock import lemma_co_sides
 from schurmix.mixed import expansion_terms, lhs, resolve_case, rhs, verify
-from schurmix.partitions import CASES, Partition, add_set, bar_core
+from schurmix.partitions import Partition, add_set, bar_core
 from schurmix.polyring import Polynomial, shift2
 from schurmix.schur import rect_schur, schur_s
 
@@ -117,11 +117,9 @@ def test_terms_are_homogeneous_of_rectangle_weight():
 def test_total_is_the_sum_of_the_term_values():
     # the total comes from one accumulator and each value is computed when
     # read, so the two paths must agree term for term
-    for case in CASES:
-        for m in range(4):
-            for n in range(2 * m + 4):
-                total, terms = lhs(case, m, n)
-                assert total == sum((t.value for t in terms), Polynomial.zero()), (case, m, n)
+    for case, m, n, _, _ in case_grid(3):
+        total, terms = lhs(case, m, n)
+        assert total == sum((t.value for t in terms), Polynomial.zero()), (case, m, n)
 
 
 def test_lhs_shifts_once_per_distinct_q(monkeypatch):
@@ -143,12 +141,9 @@ def test_lhs_shifts_once_per_distinct_q(monkeypatch):
 
 
 def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
-    # no polynomial is built, so this reaches rectangles beyond the weight
-    # the sweep can afford
-    assert summand_facts(8) == (171, 29523, 1533)
-
-
-def test_sign_facts_of_the_summands_without_q1_or_q0():
+    # summand_facts also holds the sign facts of the summands without q1 or
+    # q0; no polynomial is built, so this reaches rectangles beyond the
+    # weight the sweep can afford
     assert summand_facts(8) == (171, 29523, 1533)
 
 
@@ -159,18 +154,6 @@ def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
 def test_identity_under_the_specialization_p_k_equals_x():
     # x = 2000006 is large enough that no factor x + c or x + 2c vanishes
     assert specialization_checks(8, 2000006) == (136, 29488)
-
-
-def test_sweep_small_cores():
-    for case in ("one", "zero"):
-        for m in range(4):
-            for n in range(2 * m + 4):
-                assert verify(case, m, n).equal
-
-
-def test_single_spot_at_m4():
-    assert verify("one", 4, 3).equal
-    assert verify("zero", 4, 5).equal
 
 
 def test_rhs_is_rectangle():

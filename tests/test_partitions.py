@@ -160,16 +160,6 @@ def test_bar_core_weights():
         assert bar_core(-m).weight == m * (2 * m + 1)
 
 
-def test_add_set_known_sets_on_negative_core():
-    core = bar_core(-2)
-    got1 = [mu.parts for mu in add_set(core, 0, 1)]
-    assert got1 == [(8, 3), (7, 4), (7, 3, 1)]
-    got2 = {mu.parts for mu in add_set(core, 0, 2)}
-    assert got2 == {(9, 3), (8, 4), (8, 3, 1), (7, 5), (7, 4, 1)}
-    got3 = {mu.parts for mu in add_set(core, 0, 3)}
-    assert got3 == {(9, 4), (8, 5), (9, 3, 1), (8, 4, 1), (7, 5, 1)}
-
-
 def test_add_set_known_set_on_positive_core():
     got = {mu.parts for mu in add_set(bar_core(3), 1, 2)}
     assert got == {(11, 5, 1), (10, 6, 1), (10, 5, 2), (9, 7, 1), (9, 6, 2), (9, 5, 3)}

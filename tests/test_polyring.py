@@ -401,15 +401,6 @@ def test_pfaffian_matches_matching_sum():
             assert pfaffian(upper_triangle(mat)) == expected
 
 
-def test_pfaffian_squares_to_determinant():
-    rng = random.Random(664)
-    for size in (2, 4):
-        for _ in range(5):
-            mat = random_skew_matrix(rng, size)
-            pf = pfaffian(upper_triangle(mat))
-            assert pf * pf == determinant(mat)
-
-
 def test_terms_is_a_read_only_snapshot_in_canonical_order():
     p = schur_s(Partition((3, 2)))
     # S_lam has ordinary coefficient chi^lam(rho) / prod mj! at the monomial of

@@ -20,10 +20,8 @@ from schurmix.schur import (
 from helpers import (
     character,
     classical_q_value,
-    classical_schur_value,
     homogeneous_degree,
     partitions_of,
-    power_sum_assignment,
     q_value,
     rectangle_norms,
     ref_mul,
@@ -408,11 +406,3 @@ def test_rect_schur_degenerate_edges():
 
 def test_rectangle_norm_counts_the_shapes_inside():
     assert rectangle_norms(20) == 66
-
-
-def test_schur_s_matches_classical_at_a_point():
-    xs = (Fraction(1), Fraction(2), Fraction(-1, 2))
-    point = power_sum_assignment(xs, 4)
-    for parts in ((2,), (1, 1), (2, 1), (2, 2)):
-        got = schur_s(Partition(parts)).eval(point)
-        assert got == classical_schur_value(parts, xs)
