@@ -246,35 +246,44 @@ def _refuse_to_build(*args):
 
 TOP_PART = 4 * cli.MAX_CORE_INDEX
 
-OVERSIZED = [
-    (["schur-s", "1500"], cli.MAX_WEIGHT),
-    (["schur-s", ",".join(["1"] * 43)], cli.MAX_WEIGHT),
-    (["schur-q", "30,13"], cli.MAX_WEIGHT),
-    (["expand", "--core", "22", "--n", "1"], cli.MAX_WEIGHT),
-    (["verify", "--case", "one", "--m", "12", "--n", "6"], cli.MAX_WEIGHT),
-    (["verify-all", "--max-m", "7"], cli.MAX_WEIGHT),
-    # an empty rectangle has weight 0, so only the core limit stops these
-    (["verify", "--core", "200000", "--n", "0"], cli.MAX_CORE_INDEX),
-    (["expand", "--case", "zero", "--m", "5000", "--n", "0"], cli.MAX_CORE_INDEX),
-    (["core", "3000000"], cli.MAX_CORE_INDEX),
-    (["core", "-1001"], cli.MAX_CORE_INDEX),
-    (["enumerate", "--core", "30", "--ell", "20"], cli.MAX_ENUMERATE_CORE),
-    (["enumerate", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
-    (["enumerate", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
-    (["fock-check", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
-    (["fock-check", "--core", "30", "--ell", "0"], cli.MAX_ENUMERATE_CORE),
-    (["fock-check", "--core", "-10", "--ell", "22"], cli.MAX_ENUMERATE_ELL),
-    (["fock-check", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
-    (["quotient", "12000003"], TOP_PART),
-    (["quotient", f"{TOP_PART + 1},2"], TOP_PART),
-    (["abacus", str(TOP_PART + 2), "--core", "0"], TOP_PART),
-    (["sign", f"{TOP_PART + 1},2", "--core", "0"], TOP_PART),
-    (["sign", ",".join(map(str, range(18000, 0, -1))), "--core", "0"], TOP_PART),
-    (["inverse", "--charge", "3000000"], cli.MAX_CORE_INDEX),
-    (["inverse", "--charge", str(-cli.MAX_CORE_INDEX - 1), "--q0", "3,1"], cli.MAX_CORE_INDEX),
-]
+# (argv, limit) rows, one group per command family; every row must be
+# refused before any of BUILDERS runs
+OVERSIZED = {
+    "weight": [
+        (["schur-s", "1500"], cli.MAX_WEIGHT),
+        (["schur-s", ",".join(["1"] * 43)], cli.MAX_WEIGHT),
+        (["schur-q", "30,13"], cli.MAX_WEIGHT),
+        (["expand", "--core", "22", "--n", "1"], cli.MAX_WEIGHT),
+        (["verify", "--case", "one", "--m", "12", "--n", "6"], cli.MAX_WEIGHT),
+        (["verify-all", "--max-m", "7"], cli.MAX_WEIGHT),
+        # an empty rectangle has weight 0, so only the core limit stops these
+        (["verify", "--core", "200000", "--n", "0"], cli.MAX_CORE_INDEX),
+        (["expand", "--case", "zero", "--m", "5000", "--n", "0"], cli.MAX_CORE_INDEX),
+    ],
+    "core and enumerate": [
+        (["core", "3000000"], cli.MAX_CORE_INDEX),
+        (["core", "-1001"], cli.MAX_CORE_INDEX),
+        (["enumerate", "--core", "30", "--ell", "20"], cli.MAX_ENUMERATE_CORE),
+        (["enumerate", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
+        (["enumerate", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
+    ],
+    "fock-check": [
+        (["fock-check", "--core", "-11", "--ell", "1"], cli.MAX_ENUMERATE_CORE),
+        (["fock-check", "--core", "30", "--ell", "0"], cli.MAX_ENUMERATE_CORE),
+        (["fock-check", "--core", "-10", "--ell", "22"], cli.MAX_ENUMERATE_ELL),
+        (["fock-check", "--core", "2", "--ell", "1000000000"], cli.MAX_ENUMERATE_ELL),
+    ],
+    "quotient, inverse and abacus": [
+        (["quotient", "12000003"], TOP_PART),
+        (["quotient", f"{TOP_PART + 1},2"], TOP_PART),
+        (["abacus", str(TOP_PART + 2), "--core", "0"], TOP_PART),
+        (["sign", f"{TOP_PART + 1},2", "--core", "0"], TOP_PART),
+        (["sign", ",".join(map(str, range(18000, 0, -1))), "--core", "0"], TOP_PART),
+        (["inverse", "--charge", "3000000"], cli.MAX_CORE_INDEX),
+        (["inverse", "--charge", str(-cli.MAX_CORE_INDEX - 1), "--q0", "3,1"], cli.MAX_CORE_INDEX),
+    ],
+}
 
-# each oversized row must be refused before any of these runs
 BUILDERS = (
     "schur_s",
     "schur_q",
@@ -291,14 +300,31 @@ BUILDERS = (
 )
 
 
-def test_oversized_input_is_usage_error(capsys, monkeypatch):
+def assert_refused(capsys, monkeypatch, group):
+    """Each row of OVERSIZED[group] exits 2 with its limit and builds nothing."""
     for name in BUILDERS:
         monkeypatch.setattr(cli, name, _refuse_to_build)
-    for argv, limit in OVERSIZED:
+    for argv, limit in OVERSIZED[group]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and f"limit of {limit}" in err, argv
+
+
+def test_oversized_input_is_usage_error(capsys, monkeypatch):
+    assert_refused(capsys, monkeypatch, "weight")
+
+
+def test_oversized_core_and_enumerate_are_usage_errors(capsys, monkeypatch):
+    assert_refused(capsys, monkeypatch, "core and enumerate")
+
+
+def test_oversized_fock_check_is_a_usage_error(capsys, monkeypatch):
+    assert_refused(capsys, monkeypatch, "fock-check")
+
+
+def test_oversized_quotient_inverse_and_abacus_are_usage_errors(capsys, monkeypatch):
+    assert_refused(capsys, monkeypatch, "quotient, inverse and abacus")
 
 
 def test_quotient_inverse_and_abacus_limits_lose_no_core(capsys):

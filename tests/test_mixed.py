@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -140,11 +141,22 @@ def test_lhs_shifts_once_per_distinct_q(monkeypatch):
         assert total == rect_schur(*resolve_case(case, m, n)[2])
 
 
+@functools.cache
+def summand_facts_at_8():
+    """summand_facts(8), run once per session for the two tests below."""
+    return summand_facts(8)
+
+
 def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
-    # summand_facts also holds the sign facts of the summands without q1 or
-    # q0; no polynomial is built, so this reaches rectangles beyond the
-    # weight the sweep can afford
-    assert summand_facts(8) == (171, 29523, 1533)
+    # no polynomial is built, so this reaches rectangles beyond the weight
+    # the sweep can afford
+    checks, summands, _ = summand_facts_at_8()
+    assert (checks, summands) == (171, 29523)
+
+
+def test_sign_facts_of_the_summands_without_q1_or_q0():
+    # summand_facts asserts the sign facts on each set it walks
+    assert summand_facts_at_8() == (171, 29523, 1533)
 
 
 def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
