@@ -391,9 +391,15 @@ def case_grid(max_m):
                 yield case, m, n, *resolve_case(case, m, n)[2]
 
 
-def summand_facts(max_m):
-    """Omega duality and the sign facts on case_grid(max_m), from
-    expansion_terms alone; returns (checks, summands, summands with q0 = ()).
+# Large enough that no factor x + c or x + 2c of a content product vanishes.
+X = 2000006
+
+
+def summand_walk(max_m):
+    """The summands' checks on case_grid(max_m), from expansion_terms alone,
+    each set built once; returns (checks, summands, summands with q0 = (),
+    nonempty checks, nonempty summands), the last two over the nonempty
+    rectangles.
 
     Omega fixes Q(t_odd), maps S_b(t2) to (-1)^|b| S_b'(t2) and the rectangle
     for n to the one for top - n, so by linear independence the summands
@@ -403,11 +409,24 @@ def summand_facts(max_m):
     The summands with q0 = () are the b with <s_rect, s_b[p_2]> != 0: one
     sign, and each b once, since the rectangle's 2-quotient is two
     rectangles whose Schur product is multiplicity-free.
+
+    On a nonempty rectangle, Parseval: under (f, g)' = <f, g at t -> 2t> the
+    products Q_a S_b(t2) are orthogonal with norm 2^len(a), and
+    (S_rect, S_rect)' is binom(rows + cols, rows).  So distinct pairs
+    (q0, q1) whose 2^len(q0) add up to that binomial leave no room for any
+    other coordinate.
+
+    Then the identity at t_k = X/k, both sides times w!, w the rectangle's
+    weight, so each check is one equation between integers.  A summand
+    sign * Q_q0 * S_q1(t2) has |q0| + 2|q1| = w, so its share of w! is
+    binom(w, |q0|) times its two scaled factors.  A specialization is a
+    necessary condition, not the identity.
     """
-    checks = summands = without_q0 = 0
+    checks = summands = without_q0 = nonempty = nonempty_summands = 0
     for (case, m), grid in groupby(case_grid(max_m), itemgetter(0, 1)):
+        grid = list(grid)
         sets = [expansion_terms(case, m, n) for _, _, n, _, _ in grid]
-        for n, terms in enumerate(sets):
+        for (_, _, n, rows, cols), terms in zip(grid, sets):
             assert terms, (case, m, n)
             # sets[-1 - n] is the set of top - n
             dual = sorted(
@@ -422,55 +441,19 @@ def summand_facts(max_m):
             checks += 1
             summands += len(terms)
             without_q0 += len(pure)
-    return checks, summands, without_q0
-
-
-def addition_set_counts(max_m):
-    """Parseval on each nonempty rectangle of case_grid(max_m), from
-    expansion_terms alone; returns (checks, summands).
-
-    Under (f, g)' = <f, g at t -> 2t> the products Q_a S_b(t2) are orthogonal
-    with norm 2^len(a), and (S_rect, S_rect)' is binom(rows + cols, rows).
-    So distinct pairs (q0, q1) whose 2^len(q0) add up to that binomial leave
-    no room for any other coordinate.
-    """
-    checks = summands = 0
-    for case, m, n, rows, cols in case_grid(max_m):
-        if not rows * cols:
-            continue
-        terms = expansion_terms(case, m, n)
-        assert len({(t.q0, t.q1) for t in terms}) == len(terms), (case, m, n)
-        assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
-        checks += 1
-        summands += len(terms)
-    return checks, summands
-
-
-def specialization_checks(max_m, x):
-    """The identity at t_k = x/k on each nonempty rectangle of
-    case_grid(max_m); returns (checks, summands).
-
-    Both sides are taken times w!, w the rectangle's weight, so each check
-    is one equation between integers and builds no polynomial.  A summand
-    sign * Q_q0 * S_q1(t2) has |q0| + 2|q1| = w, so its share of w! is
-    binom(w, |q0|) times its two scaled factors.  x must be large enough
-    that no factor x + c or x + 2c vanishes.  A specialization is a
-    necessary condition, not the identity.
-    """
-    checks = summands = 0
-    for case, m, n, rows, cols in case_grid(max_m):
-        w = rows * cols
-        if not w:
-            continue
-        terms = expansion_terms(case, m, n)
-        left = sum(
-            t.sign * comb(w, t.q0.weight) * q_value(t.q0.parts, x) * s2_value(t.q1.parts, x)
-            for t in terms
-        )
-        assert left == s_value((cols,) * rows, x), (case, m, n)
-        checks += 1
-        summands += len(terms)
-    return checks, summands
+            w = rows * cols
+            if not w:
+                continue
+            assert len({(t.q0, t.q1) for t in terms}) == len(terms), (case, m, n)
+            assert sum(2 ** len(t.q0) for t in terms) == comb(rows + cols, rows), (case, m, n)
+            left = sum(
+                t.sign * comb(w, t.q0.weight) * q_value(t.q0.parts, X) * s2_value(t.q1.parts, X)
+                for t in terms
+            )
+            assert left == s_value((cols,) * rows, X), (case, m, n)
+            nonempty += 1
+            nonempty_summands += len(terms)
+    return checks, summands, without_q0, nonempty, nonempty_summands
 
 
 def addition_set_grid(max_core):
@@ -536,22 +519,21 @@ def tall_shapes(max_weight):
 
 
 def rectangle_norms(max_weight):
-    """The norm and the value at t_k = x/k of rect_schur(a, b) for each
+    """The norm and the value at t_k = X/k of rect_schur(a, b) for each
     rectangle of weight max_weight or less; returns the number of them.
 
     (S_rect, S_rect)' is the sum of the squared Littlewood-Richardson
     coefficients of the rectangle, each 1 for a shape inside it and its
-    complement, so it equals binom(a + b, a).  At t_k = x/k the rectangle is
-    its content product, s_value; this x makes no factor x + c vanish.
+    complement, so it equals binom(a + b, a).  At t_k = X/k the rectangle is
+    its content product, s_value.
     """
-    x = 2000006
-    point = {k: Fraction(x, k) for k in range(1, max_weight + 1)}
+    point = {k: Fraction(X, k) for k in range(1, max_weight + 1)}
     shapes = 0
     for a in range(1, max_weight + 1):
         for b in range(1, max_weight // a + 1):
             rect = rect_schur(a, b)
             assert hall_norm(rect) == comb(a + b, a), (a, b)
-            assert rect.eval(point) * factorial(a * b) == s_value((b,) * a, x), (a, b)
+            assert rect.eval(point) * factorial(a * b) == s_value((b,) * a, X), (a, b)
             shapes += 1
     return shapes
 

@@ -11,13 +11,8 @@ from schurmix.partitions import Partition, add_set, bar_core
 from schurmix.polyring import Polynomial, shift2
 from schurmix.schur import rect_schur, schur_s
 
-from helpers import (
-    addition_set_counts,
-    case_grid,
-    homogeneous_degree,
-    specialization_checks,
-    summand_facts,
-)
+import helpers
+from helpers import case_grid, homogeneous_degree, summand_walk
 
 
 def term_triples(terms):
@@ -100,14 +95,6 @@ def test_mismatch_reports_the_difference(monkeypatch):
     assert report.difference == -Polynomial.variable(1)
 
 
-def test_term_count_matches_add_set():
-    for case, m, n in (("one", 3, 2), ("zero", 2, 3), ("one", 2, 1)):
-        color = 1 if case == "one" else 0
-        core = bar_core(m if case == "one" else -m)
-        terms = expansion_terms(case, m, n)
-        assert len(terms) == len(list(add_set(core, color, n)))
-
-
 def test_terms_are_homogeneous_of_rectangle_weight():
     # past n = top the addition set is empty, so case_grid covers every term
     for case, m, n, rows, cols in case_grid(3):
@@ -142,30 +129,45 @@ def test_lhs_shifts_once_per_distinct_q(monkeypatch):
 
 
 @functools.cache
-def summand_facts_at_8():
-    """summand_facts(8), run once per session for the two tests below."""
-    return summand_facts(8)
+def walk_at_8():
+    """summand_walk(8), the walk CI runs at 10, run once per session: each
+    test below pins its own share of the totals."""
+    return summand_walk(8)
 
 
 def test_omega_dual_pairs_the_summands_of_n_and_top_minus_n():
     # no polynomial is built, so this reaches rectangles beyond the weight
     # the sweep can afford
-    checks, summands, _ = summand_facts_at_8()
+    checks, summands, *_ = walk_at_8()
     assert (checks, summands) == (171, 29523)
 
 
 def test_sign_facts_of_the_summands_without_q1_or_q0():
-    # summand_facts asserts the sign facts on each set it walks
-    assert summand_facts_at_8() == (171, 29523, 1533)
+    # summand_walk asserts the sign facts on each set it walks
+    assert walk_at_8()[:3] == (171, 29523, 1533)
 
 
 def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
-    assert addition_set_counts(8) == (136, 29488)
+    # distinct pairs and the Parseval count on each nonempty rectangle
+    assert walk_at_8()[3:] == (136, 29488)
 
 
 def test_identity_under_the_specialization_p_k_equals_x():
-    # x = 2000006 is large enough that no factor x + c or x + 2c vanishes
-    assert specialization_checks(8, 2000006) == (136, 29488)
+    # the identity at t_k = X/k on each nonempty rectangle
+    assert walk_at_8()[3:] == (136, 29488)
+
+
+def test_summand_walk_builds_each_set_once(monkeypatch):
+    # the walk runs every check of a set on one build of its summands
+    calls = []
+
+    def counting(case, m, n):
+        calls.append((case, m, n))
+        return expansion_terms(case, m, n)
+
+    monkeypatch.setattr(helpers, "expansion_terms", counting)
+    summand_walk(3)
+    assert calls == [(case, m, n) for case, m, n, _, _ in case_grid(3)]
 
 
 def test_rhs_is_rectangle():
