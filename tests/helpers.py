@@ -518,6 +518,34 @@ def tall_shapes(max_weight):
     return shapes
 
 
+def odd_parts(max_weight):
+    """The family-2 h_minor on the rows lam_i - i of each shape lam of weight
+    max_weight or less, from a cleared h_minor, against schur_s(lam) with its
+    monomials in an even variable dropped and against the conjugate's
+    family-2 minor; returns the number of shapes.
+
+    Setting every even variable to 0 is a ring map that takes h_n to q_n, so
+    it takes the h determinant S_lam to the q determinant; omega fixes the
+    odd variables, so S_lam and S_lam' agree there.
+    """
+    schur.h_minor.cache_clear()
+    shapes = 0
+    for weight in range(max_weight + 1):
+        for parts in partitions_of(weight):
+            lam = Partition(parts)
+            odd = {
+                mono: c for mono, c in schur_s(lam).terms.items() if all(var % 2 for var, _ in mono)
+            }
+            minors = [
+                schur.h_minor(2, tuple(p - i for i, p in enumerate(rows)), (1 << len(rows)) - 1)
+                for rows in (parts, lam.conjugate().parts)
+            ]
+            assert dict(minors[0].terms) == odd, parts
+            assert minors[0] == minors[1], parts
+            shapes += 1
+    return shapes
+
+
 def rectangle_norms(max_weight):
     """The norm and the value at t_k = X/k of rect_schur(a, b) for each
     rectangle of weight max_weight or less; returns the number of them.

@@ -148,12 +148,9 @@ def test_sign_facts_of_the_summands_without_q1_or_q0():
 
 
 def test_addition_set_pairs_are_distinct_and_count_the_rectangle():
-    # distinct pairs and the Parseval count on each nonempty rectangle
-    assert walk_at_8()[3:] == (136, 29488)
-
-
-def test_identity_under_the_specialization_p_k_equals_x():
-    # the identity at t_k = X/k on each nonempty rectangle
+    # on each nonempty rectangle the walk runs three checks: the pairs
+    # (q0, q1) are distinct, their 2^len(q0) add up to the Parseval count
+    # binom(rows + cols, rows), and the identity holds at t_k = X/k
     assert walk_at_8()[3:] == (136, 29488)
 
 

@@ -21,6 +21,7 @@ from helpers import (
     character,
     classical_q_value,
     homogeneous_degree,
+    odd_parts,
     partitions_of,
     q_value,
     rectangle_norms,
@@ -153,14 +154,14 @@ def test_h_minor_is_the_one_store_of_s_polynomials():
     # a shape with at least as many columns as rows is its own h_minor entry;
     # a taller one is omega of its conjugate's entry, built on each call and
     # kept nowhere
-    assert schur_s(Partition((3, 2))) is schur.h_minor((3, 1), 0b11)
+    assert schur_s(Partition((3, 2))) is schur.h_minor(1, (3, 1), 0b11)
     tall = Partition((1, 1, 1, 1))
     first, second = schur_s(tall), schur_s(tall)
-    assert first == second == omega(schur.h_minor((4,), 0b1))
+    assert first == second == omega(schur.h_minor(1, (4,), 0b1))
     assert first is not second
     # h_n is the one-row shape's entry, shared with every one-row sub-minor
     for n in range(1, 9):
-        assert schur_s(Partition((n,))) is complete_h(n) is schur.h_minor((n,), 1)
+        assert schur_s(Partition((n,))) is complete_h(n) is schur.h_minor(1, (n,), 1)
 
 
 def test_schur_keeps_two_caches():
@@ -178,10 +179,15 @@ def test_q_minor_is_the_one_store_of_q_polynomials():
     assert schur_q(StrictPartition((3,))) is schur.q_minor((3,))
     for fn in (schur_q, q_pair):
         assert not hasattr(fn, "cache_info"), fn
-    # q_n is the one-part shape's entry, and q_pair(n, 0) builds it
+    # q_n is the one-row entry of the odd family in h_minor, which q_pair(n, 0)
+    # and q_minor's one-part entry return.  Both stores are cleared: with
+    # h_minor alone cleared, q_minor would keep the old q_n, equal but not
+    # the same object
+    for cache in (schur.q_minor, schur.h_minor):
+        cache.cache_clear()
     for n in range(1, 9):
-        assert schur_q(StrictPartition((n,))) is q_fun(n)
-        assert q_pair(n, 0) == q_fun(n)
+        q = schur.h_minor(2, (n,), 1)
+        assert schur_q(StrictPartition((n,))) is q_fun(n) is q_pair(n, 0) is q
 
 
 def test_schur_q_refuses_a_partition_that_is_not_strict(monkeypatch):
@@ -195,8 +201,8 @@ def test_schur_q_refuses_a_partition_that_is_not_strict(monkeypatch):
 
 
 def test_schur_s_refuses_a_lam_that_is_not_a_partition(monkeypatch):
-    def unreachable(offsets, mask):
-        raise AssertionError(f"h_minor reached with {offsets!r}, {mask!r}")
+    def unreachable(step, offsets, mask):
+        raise AssertionError(f"h_minor reached with {step!r}, {offsets!r}, {mask!r}")
 
     monkeypatch.setattr(schur, "h_minor", unreachable)
     for lam in ((3, 1), [3, 1], (), None, "31"):
@@ -253,6 +259,12 @@ def test_schur_s_matches_plain_jacobi_trudi():
 
 def test_tall_shapes_match_their_own_h_determinant():
     assert tall_shapes(12) == 120
+
+
+def test_odd_family_minors_are_s_polynomials_at_odd_variables():
+    # each shape's q determinant is its S with the even variables set to 0,
+    # and so is its conjugate's
+    assert odd_parts(12) == 272
 
 
 def test_shared_minors_match_each_shapes_own_determinant():
