@@ -29,12 +29,12 @@ from .polyring import shift2
 from .schur import schur_q, schur_s
 
 
-# On a 2-vCPU Xeon host (Python 3.11.7, cold processes) weight 42 takes about
-# 1.0-2.4 s for verify --json of the 6x7 rectangle (28860 terms; writing its
-# JSON takes 0.10-0.16 s of that) and 1.0-2.3 s for schur-s of a shape such
-# as 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is
-# that 6x7, 2.7-3.1 s at a peak RSS of 63 MB; the host's speed drifts by tens
-# of percent.  The cost grows with the number of partitions of the weight.
+# Measured once on a 2-vCPU Xeon host (Python 3.11.7, cold processes), weight
+# 42 took 1.1 s for verify --json of the 6x7 rectangle (28860 terms; writing
+# its JSON took 0.13 s of that) and 1.3 s for schur-s of a shape such as
+# 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is that
+# 6x7, 2.3 s at a peak RSS of 62 MB; the host's speed drifts by tens of
+# percent.  The cost grows with the number of partitions of the weight.
 # The README examples and the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42
 
@@ -46,12 +46,12 @@ MAX_CORE_INDEX = 1000
 
 # enumerate prints the addition set one partition at a time, so these limits
 # bound its output and time.  Its size peaks near ell = |core|: on the same
-# host, with start-up, 17303 partitions in 0.2 s for core -10, 143365 in
-# 0.5 s for core -12 and 414584 in 1.4 s for core -13.  A core with index m
+# host, with start-up, 17303 partitions in 0.1 s for core -10, 143365 in
+# 0.5 s for core -12 and 414584 in 1.5 s for core -13.  A core with index m
 # takes at most 2|m| + 1 nodes of its color, so no larger ell has a result.
 # fock-check prints the same addition set twice, with a coefficient each, so
 # it shares these limits; its slowest admitted inputs, core -10 at ell 11 to
-# 13, take 0.5-0.6 s each on the same host.
+# 13, took 0.8 s each on the same host.
 MAX_ENUMERATE_CORE = 10
 MAX_ENUMERATE_ELL = 2 * MAX_ENUMERATE_CORE + 1
 

