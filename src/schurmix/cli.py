@@ -30,10 +30,10 @@ from .schur import schur_q, schur_s
 
 
 # Measured once on a 2-vCPU Xeon host (Python 3.11.7, cold processes), weight
-# 42 took 1.1 s for verify --json of the 6x7 rectangle (28860 terms; writing
-# its JSON took 0.13 s of that) and 1.3 s for schur-s of a shape such as
+# 42 took 0.75 s for verify --json of the 6x7 rectangle (28860 terms; writing
+# its JSON took 0.10 s of that) and 0.80 s for schur-s of a shape such as
 # 8,7,7,6,5,4,3,2, and verify-all --max-m 6, whose largest rectangle is that
-# 6x7, 2.3 s at a peak RSS of 62 MB; the host's speed drifts by tens of
+# 6x7, 1.5 s at a peak RSS of 60 MB; the host's speed drifts by tens of
 # percent.  The cost grows with the number of partitions of the weight.
 # The README examples and the benchmark's calls all have weight 32 or less.
 MAX_WEIGHT = 42

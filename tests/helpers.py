@@ -108,13 +108,14 @@ def random_poly(rng, max_terms=3, max_var=3, max_exp=2):
     return Polynomial(terms)
 
 
-def polynomials(max_terms=4, max_var=4, max_exp=3):
+def polynomials(max_terms=4, variables=(1, 2, 3, 4), max_exp=3, max_den=3):
     """Hypothesis strategy for polynomials shaped like random_poly's, over
-    t1..t(max_var) so that even variables occur."""
+    the given variables (by default t1..t4, so that even variables occur),
+    with ordinary coefficients whose denominators are at most max_den."""
     from hypothesis import strategies as st
 
-    mono = st.dictionaries(st.integers(1, max_var), st.integers(0, max_exp))
-    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    mono = st.dictionaries(st.sampled_from(variables), st.integers(0, max_exp))
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, max_den))
     return st.lists(st.tuples(mono, coeff), max_size=max_terms).map(Polynomial)
 
 

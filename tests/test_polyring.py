@@ -3,7 +3,8 @@ import random
 from collections import Counter
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, inf, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,20 +194,66 @@ def test_scalar_products_go_through_one_sum_of_products_call(monkeypatch):
     assert len(calls) == 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), polynomials(), polynomials()), max_size=4))
+# Operands for the two product routes: the default mix, where an ordinary
+# coefficient 1/3 stays a Fraction at weight 2 or less, int stored
+# coefficients, odd variables only, packed along t3, and even variables only,
+# with no t1.
+_OPERANDS = (
+    polynomials(),
+    polynomials(max_terms=8, max_den=1),
+    polynomials(max_terms=8, variables=(1, 3, 5), max_den=1),
+    polynomials(max_terms=8, variables=(2, 4), max_den=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_OPERANDS).flatmap(
+        lambda operands: st.lists(st.tuples(st.integers(-3, 3), operands, operands), max_size=4)
+    )
+)
 @example([(2, Polynomial.one() + t(1), t(3) - t(1) * t(2))])
 def test_sum_of_products_matches_ordinary_basis_reference(triples):
     expected = {}
     for c, a, b in triples:
         product = ref_mul(dict(a.terms), dict(b.terms))
         expected = ref_add(expected, {mono: c * coeff for mono, coeff in product.items()})
-    assert sum_of_products(triples).terms == expected
     # Each product added back with the opposite sign and the factors swapped
     # cancels every term; == compares the pieces, so an empty weight piece
     # left behind would fail it.
     mirrored = triples + [(-c, b, a) for c, a, b in triples]
-    assert sum_of_products(mirrored) == Polynomial.zero()
+    # a crossover of 0 packs every product of int pieces, one of inf none
+    for crossover in (0, inf):
+        with mock.patch.object(polyring, "_PACK_PAIRS", crossover):
+            assert sum_of_products(triples).terms == expected, crossover
+            assert sum_of_products(mirrored) == Polynomial.zero(), crossover
+
+
+def test_packed_fields_meet_their_bound_exactly(monkeypatch):
+    # M * (t1^j +- tj) stores 2M at weight 2 and 6M at weight 3 for both
+    # terms; its square's middle field sums min(2, 2) = 2 pairs of the
+    # largest coefficients, so it equals the bound the field width is taken
+    # from.  Odd-only factors pack along t3, as Q-polynomials do.
+    packed_along = []
+    real = polyring._add_packed
+
+    def spy(out, w, var, products):
+        packed_along.append(var)
+        real(out, w, var, products)
+
+    monkeypatch.setattr(polyring, "_add_packed", spy)
+    monkeypatch.setattr(polyring, "_PACK_PAIRS", 0)
+    big = 3**40
+    for j in (2, 3):
+        for sign in (1, -1):
+            base = big * t(1) ** j + sign * big * t(j)
+            packed_along.clear()
+            assert (base * base).terms == {
+                ((1, 2 * j),): big**2,
+                ((1, j), (j, 1)): 2 * sign * big**2,
+                ((j, 2),): big**2,
+            }, (j, sign)
+            assert packed_along == [j], (j, sign)
 
 
 def test_omega_maps_h_to_e():
@@ -236,10 +283,13 @@ def test_eval():
     p = t(1) ** 2 * Fraction(1, 2) + t(2)
     assert p.eval({1: 2, 2: 3}) == 5
     assert p.eval({1: Fraction(1, 2), 2: Fraction(-1, 8)}) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t2"):
         p.eval({1: 2})
     with pytest.raises(TypeError):
         p.eval({1: 2, 2: 0.5})
+    # the first term of the canonical order that lacks a value names it
+    with pytest.raises(ValueError, match="t3"):
+        (p + t(1) * t(3) + t(4)).eval({1: 2, 2: 3})
     rng = random.Random(4)
     point = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(1, 4)}
     for _ in range(20):
