@@ -6,7 +6,9 @@ A case is a color i, named by ``partitions.CASES[i]``, with m >= 0, and
 rows of length 2m+1-n.  The rectangle expands over the node addition set of
 color i on that core, each summand the sign of the partition times the
 Q-polynomial of its even half times the S-polynomial of its Maya half in the
-doubled variables.  Both sides vanish when the addition set is empty.
+doubled variables.  Both sides vanish when the addition set is empty.  The
+expansion side sums the S-polynomials of each Q's summands with schur.s_sum,
+one product per Jacobi-Trudi top-row entry that they share.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from typing import NamedTuple
 from .barquot import delta_sign, quotient
 from .partitions import Partition, StrictPartition, add_set, bar_core, case_color
 from .polyring import Polynomial, shift2, sum_of_products
-from .schur import rect_schur, schur_q, schur_s
-
-_ONE = Polynomial.one()
+from .schur import rect_schur, s_sum, schur_q, schur_s
 
 
 def resolve_case(case, m, n):
@@ -76,18 +76,16 @@ def expansion_terms(case, m, n):
 def lhs(case, m, n):
     """Expansion side: signed Q*S(t2) products over the addition set.
 
-    Summands that share a Q are grouped: their signed S-polynomials are summed
-    first, and since shift2 is linear, each distinct Q multiplies one shifted
-    sum.  Returns the total polynomial together with the expansion_terms
-    records.
+    Summands that share a Q are grouped: schur.s_sum adds their signed
+    S-polynomials along one shared Jacobi-Trudi top row, and since shift2 is
+    linear, each distinct Q multiplies one shifted sum.  Returns the total
+    polynomial together with the expansion_terms records.
     """
     terms = expansion_terms(case, m, n)
     groups = {}
     for term in terms:
-        groups.setdefault(term.q0, []).append((term.sign, _ONE, schur_s(term.q1)))
-    total = sum_of_products(
-        (1, schur_q(q0), shift2(sum_of_products(group))) for q0, group in groups.items()
-    )
+        groups.setdefault(term.q0, []).append((term.sign, term.q1))
+    total = sum_of_products((1, schur_q(q0), shift2(s_sum(group))) for q0, group in groups.items())
     return total, terms
 
 

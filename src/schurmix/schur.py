@@ -16,6 +16,11 @@ minor one cached h_minor call keyed by its family, row offsets and column set
 up to a common shift, so h_minor is the one store of S-polynomials and a minor
 shared by several shapes (the rectangle b^a is the bottom of b^(a+1)) is built
 once per process; polyring.determinant is the reference the tests use.
+A signed sum of S-polynomials, s_sum, uses that the determinant is linear in
+its top row (Macdonald I.3): the members of one orientation that meet a
+common entry h_n add their minors first, so h_n multiplies one sum of
+minors, the tall members' total mapped back by one omega; members that share
+no entry add their stored S-polynomials instead.
 Q-polynomials expand the Pfaffian of the two-row building blocks along its
 first row, whose minors are the Q-polynomials of smaller strict partitions
 (Macdonald III.8):
@@ -37,6 +42,8 @@ import functools
 
 from .partitions import Partition, StrictPartition
 from .polyring import Polynomial, divided_powers, omega, sum_of_products
+
+_ONE = Polynomial.one()
 
 
 def complete_h(n):
@@ -65,32 +72,42 @@ def q_pair(m, n):
 @functools.cache
 def h_minor(step, offsets, mask):
     """Determinant of e_(a + j) over the rows a in offsets, top to bottom, and
-    the columns j set in mask, one per row; e_n is divided_powers(n, step).
+    the columns j set in mask, one per row; e_n is divided_powers(n, step),
+    for a family step of 1 or 2 only (ValueError otherwise).
 
     A one-row minor is e_(a + j) itself, built directly.  A taller one is
-    expanded along the top row, each entry's sign the parity of its column's
-    position among the set ones, each entry read through complete_h or q_fun
-    and each sub-minor through _shared_minor.  On the rows lam_i - i, family
-    1 (e_n = h_n) gives S_lam and family 2 (e_n = q_n) gives S_lam|odd.
+    expanded along the top row, each entry e_n read through complete_h or
+    q_fun and each sub-minor from _top_row.  On the rows lam_i - i, family 1
+    (e_n = h_n) gives S_lam and family 2 (e_n = q_n) gives S_lam|odd.
     """
+    if step not in (1, 2):
+        raise ValueError(f"h_minor family must be 1 or 2, got {step!r}")
     if not mask:
         return Polynomial.one()
-    top, below = offsets[0], offsets[1:]
-    if not below:
-        return divided_powers(top + mask.bit_length() - 1, step)
+    if len(offsets) == 1:
+        return divided_powers(offsets[0] + mask.bit_length() - 1, step)
     piece = complete_h if step == 1 else q_fun
+    return sum_of_products(
+        (sign, piece(n), minor) for sign, n, minor in _top_row(step, offsets, mask)
+    )
 
-    def terms():
-        sign, rest = 1, mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            entry = piece(top + bit.bit_length() - 1)
-            if not entry.is_zero:
-                yield sign, entry, _shared_minor(step, below, mask ^ bit)
-            sign = -sign
 
-    return sum_of_products(terms())
+def _top_row(step, offsets, mask):
+    """(sign, n, minor) for each column j set in mask whose top-row entry e_n,
+    n = offsets[0] + j, is not zero, that is n >= 0: sign is the parity of
+    the column's position among the set ones and minor the h_minor on the
+    rows below without column j, read through _shared_minor.  A zero entry
+    builds no minor.
+    """
+    top, below = offsets[0], offsets[1:]
+    sign, rest = 1, mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        n = top + bit.bit_length() - 1
+        if n >= 0:
+            yield sign, n, _shared_minor(step, below, mask ^ bit)
+        sign = -sign
 
 
 def _shared_minor(step, offsets, mask):
@@ -106,21 +123,88 @@ def _shared_minor(step, offsets, mask):
     return h_minor(step, offsets, mask)
 
 
+def _oriented(lam):
+    """(tall, row offsets, column mask) of lam's h determinant in its smaller
+    orientation.  A tall shape, with fewer columns than rows, gives its
+    conjugate's rows, whose S is omega of lam's (S_lam' = omega(S_lam),
+    omega: tj -> (-1)^(j+1) tj); the offsets are the rows' parts p_i - i and
+    the mask sets columns 0 .. rows-1, none for the empty shape.
+    """
+    parts = lam.parts
+    tall = bool(parts) and parts[0] < len(parts)
+    if tall:
+        parts = lam.conjugate().parts
+    return tall, tuple(p - i for i, p in enumerate(parts)), (1 << len(parts)) - 1
+
+
 def schur_s(lam):
     """S-polynomial of a partition: det of the h matrix h_(lam_i + j - i).
 
     The determinant has size min(len(lam), lam_1).  A shape with at least as
-    many columns as rows returns its h_minor entry itself, row offsets
-    lam_i - i and columns j = 0 .. n-1.  When lam_1 < len(lam) the result is
-    omega of the conjugate's stored S, built on each call and kept nowhere.
+    many columns as rows returns its h_minor entry itself.  A tall one returns
+    omega of its conjugate's stored S, built on each call and kept nowhere.
     """
     if not isinstance(lam, Partition):
         raise TypeError(f"schur_s: lam must be a Partition, got {lam!r}")
-    parts = lam.parts
-    n = len(parts)
-    if n and parts[0] < n:
-        return omega(schur_s(lam.conjugate()))
-    return h_minor(1, tuple(p - i for i, p in enumerate(parts)), (1 << n) - 1)
+    tall, offsets, mask = _oriented(lam)
+    s = h_minor(1, offsets, mask)
+    return omega(s) if tall else s
+
+
+def s_sum(terms):
+    """sum c * S_lam over (int c, Partition lam) pairs, grouped along one top row.
+
+    The determinant is linear in its top row, so the members of one
+    orientation, expanded along their top rows h_lam1 .. h_(lam1 + rows - 1),
+    sum to sum over n of h_n times the signed sum of the minors that meet h_n:
+    one product per distinct entry.  The tall members do this in their
+    conjugates' orientation, and that side's total is mapped back by one
+    omega; the empty shape is c * h_0.  When no two members of one
+    orientation meet a common entry, grouping saves no product, and each
+    member adds its schur_s instead, which h_minor stores for later callers.
+    """
+    terms = list(terms)
+    if len(terms) < 2 or not _shares_entries(terms):
+        return sum_of_products((c, _ONE, schur_s(lam)) for c, lam in terms)
+    rows = ({}, {})  # {n: [(c, 1, minor), ...]}: the wide members', the tall ones'
+    for c, lam in terms:
+        is_tall, offsets, mask = _oriented(lam)
+        row = rows[is_tall]
+        for sign, n, minor in _top_row(1, offsets, mask) if mask else ((1, 0, _ONE),):
+            row.setdefault(n, []).append((sign * c, _ONE, minor))
+    wide, tall = map(_row_products, rows)
+    if tall:
+        wide.append((1, _ONE, omega(sum_of_products(tall))))
+    return sum_of_products(wide)
+
+
+def _row_products(row):
+    """(c, h_n, minor) for each entry n of a {n: [(c, 1, minor), ...]} row:
+    a lone minor keeps its c, and several are summed first."""
+    return [
+        (minors[0][0], complete_h(n), minors[0][2])
+        if len(minors) == 1
+        else (1, complete_h(n), sum_of_products(minors))
+        for n, minors in row.items()
+    ]
+
+
+def _shares_entries(terms):
+    """Whether two members of one orientation meet a common top-row entry.
+
+    A shape with r rows and c columns meets h_max(r, c) .. h_(r + c - 1) in
+    its smaller orientation, so no conjugate is built to tell.
+    """
+    seen = (set(), set())  # the entries of the wide members, of the tall ones
+    for _, lam in terms:
+        if lam.parts:
+            rows, cols = len(lam.parts), lam.parts[0]
+            entries = range(max(rows, cols), rows + cols)
+            side = seen[cols < rows]
+            if not side.isdisjoint(entries):
+                return True
+            side.update(entries)
+    return False
 
 
 @functools.cache

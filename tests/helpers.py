@@ -21,7 +21,7 @@ from schurmix import schur
 from schurmix.barquot import QuotientTriple, abacus, delta_sign, inverse_quotient, quotient
 from schurmix.mixed import expansion_terms, resolve_case
 from schurmix.partitions import CASES, Partition, StrictPartition, add_set, bar_core
-from schurmix.polyring import Polynomial, determinant, omega, pfaffian, shift2
+from schurmix.polyring import Polynomial, determinant, omega, pfaffian, shift2, sum_of_products
 from schurmix.schur import complete_h, q_pair, rect_schur, schur_q, schur_s
 
 
@@ -540,6 +540,11 @@ def shape_walk(max_weight):
       character chi^lam(rho) (Macdonald I.7);
     - S and S(t2) at t_k = x/k, times w! and (2w)!, are s_value and s2_value
       at x = 13 and X.
+
+    Last, at each weight within the bound, s_sum of a seeded member list is
+    the sum of c * schur_s(lam) over it: six drawn shapes, the one-row and
+    one-column shapes and the empty one, each with a c drawn from
+    {-2, -1, 1, 2}.
     """
     for cache in (schur.q_minor, schur.h_minor):
         cache.cache_clear()
@@ -582,6 +587,13 @@ def shape_walk(max_weight):
             assert shift2(s).eval(point) * factorial(2 * w) == s2_value(parts, x), (parts, x)
         within += 1
         tall += is_tall
+    rng = random.Random(2005)
+    for w in range(max_weight + 1):
+        shapes = list(partitions_of(w))
+        drawn = rng.sample(shapes, min(6, len(shapes))) + [shapes[0], shapes[-1], ()]
+        members = [(rng.choice((-2, -1, 1, 2)), Partition(parts)) for parts in drawn]
+        expected = sum_of_products((c, Polynomial.one(), schur_s(lam)) for c, lam in members)
+        assert schur.s_sum(members) == expected, members
     return within, tall, past
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurmix import mixed
+from schurmix import mixed, schur
 from schurmix.fock import lemma_co_sides
 from schurmix.mixed import expansion_terms, lhs, resolve_case, rhs, verify
 from schurmix.partitions import Partition, add_set, bar_core
@@ -126,6 +126,24 @@ def test_lhs_shifts_once_per_distinct_q(monkeypatch):
         distinct = len({t.q0 for t in terms})
         assert len(calls) == distinct < len(terms), (case, m, n)
         assert total == rect_schur(*resolve_case(case, m, n)[2])
+
+
+def test_lhs_builds_an_s_polynomial_only_for_groups_that_share_no_entry(monkeypatch):
+    # the summands of a Q are summed along one shared top row when two of
+    # them meet a common h_n, so lhs asks schur_s for fewer S-polynomials
+    # than it has summands, and its total stays the rectangle
+    calls = []
+
+    def counting(lam):
+        calls.append(lam)
+        return schur_s(lam)
+
+    monkeypatch.setattr(schur, "schur_s", counting)
+    monkeypatch.setattr(mixed, "schur_s", counting)
+    total, terms = lhs("one", 6, 4)
+    assert len(terms) == 90
+    assert len(calls) == 15 < len(terms)
+    assert total == rect_schur(8, 4)
 
 
 @functools.cache

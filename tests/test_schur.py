@@ -190,6 +190,36 @@ def test_schur_s_refuses_a_lam_that_is_not_a_partition(monkeypatch):
             schur_s(lam)
 
 
+def test_h_minor_refuses_a_family_other_than_1_or_2():
+    # e_n is h_n for family 1 and q_n for family 2; a step-3 base would build
+    # and store entries of neither, and step 0 has no series at all
+    for step, offsets, mask in ((3, (2, 1), 0b11), (0, (2,), 1), (-1, (), 0)):
+        with pytest.raises(ValueError, match=rf"^h_minor family must be 1 or 2, got {step}$"):
+            schur.h_minor(step, offsets, mask)
+
+
+def test_s_sum_expands_only_groups_that_share_an_entry(monkeypatch):
+    # (3, 1) meets h_3 and h_4, (2, 2) h_2 and h_3, and the tall (2, 1, 1),
+    # by its conjugate (3, 1), h_3 and h_4 on the other side: the first pair
+    # shares h_3 and is expanded along one top row, building no S; (4,) and
+    # (2, 1, 1), one per side, share nothing and add their own schur_s
+    calls = []
+
+    def counting(lam):
+        calls.append(lam.parts)
+        return schur_s(lam)
+
+    monkeypatch.setattr(schur, "schur_s", counting)
+    shared = [(2, Partition((3, 1))), (-1, Partition((2, 2))), (1, Partition((2, 1, 1)))]
+    apart = [(1, Partition((4,))), (-2, Partition((2, 1, 1)))]
+    for members, built in ((shared, []), (apart, [(4,), (2, 1, 1)])):
+        calls.clear()
+        total = schur.s_sum(members)
+        assert calls == built
+        assert total == sum((c * schur_s(lam) for c, lam in members), Polynomial.zero())
+    assert schur.s_sum([]).is_zero
+
+
 def test_series_pieces_are_homogeneous():
     for n in range(11):
         assert homogeneous_degree(complete_h(n)) == n
@@ -244,6 +274,13 @@ def test_shared_minors_match_each_shapes_own_determinant():
     # walk starts from emptied stores and takes the shapes of weight 12 or
     # less with every rectangle of weight 30 or less in a shuffled order
     assert shapes_at_12() == (272, 120, 76)
+
+
+def test_grouped_s_sums_match_their_members_s_polynomials():
+    # shape_walk holds s_sum of seeded member lists, wide, tall, one-row and
+    # empty shapes with c in {-2, -1, 1, 2}, to the sum of c * schur_s at
+    # each weight
+    assert shapes_at_12()[0] == 272
 
 
 def test_q_pair_values():
